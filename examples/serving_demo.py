@@ -1,4 +1,4 @@
-"""Serving demo: persist a fitted model, then coalesce concurrent queries.
+"""Serving demo: persist a fitted model, then batch concurrent queries.
 
 Walks the full serving lifecycle:
 
@@ -7,8 +7,8 @@ Walks the full serving lifecycle:
 2. online — reload both in a "fresh process", register the model, and
    stand up a :class:`ClusterService`;
 3. traffic — eight submitter threads fire seed queries concurrently;
-   the dispatcher coalesces them into block diffusions and the LRU
-   result cache absorbs repeats;
+   the dispatcher gathers them into blocks, answers each query on its
+   reusable workspace, and the LRU result cache absorbs repeats;
 4. telemetry — compare the service's seeds/sec against a sequential
    baseline and print the stats dict.
 
@@ -50,7 +50,7 @@ def main() -> None:
     ), "persistence must be bitwise-faithful"
     print("reloaded model answers bitwise-identically")
 
-    # -- traffic: concurrent submitters share block diffusions ---------
+    # -- traffic: concurrent submitters share dispatched blocks --------
     rng = np.random.default_rng(7)
     seeds = rng.choice(graph.n, size=N_THREADS * QUERIES_PER_THREAD, replace=False)
     shards = [

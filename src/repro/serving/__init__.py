@@ -1,16 +1,18 @@
 """Serving layer: fit once offline, answer concurrent queries online.
 
-The pipeline (``repro.core``) builds models and the batch engine
-(``repro.diffusion.batch``) answers blocks of seeds cheaply; this
-package turns the two into a long-lived service:
+The pipeline (``repro.core``) builds models and answers one seed at a
+time through the frontier-local diffusion engines; this package turns
+that into a long-lived service:
 
 - :mod:`~repro.serving.persistence` — fitted models as ``.npz``
   artifacts (:func:`save_model` / :func:`load_model`) and a lazy
   :class:`ModelRegistry`;
 - :mod:`~repro.serving.service` — :class:`ClusterService`, the
-  thread-safe micro-batching scheduler that coalesces concurrent
-  ``submit`` calls into block diffusions and applies live graph deltas
-  (``apply_update``) without dropping traffic;
+  thread-safe micro-batching scheduler that gathers concurrent
+  ``submit`` calls into blocks, answers each block query by query with
+  :func:`~repro.serving.service.answer_block` (the one compute path the
+  in-process dispatcher and every pool worker share), and applies live
+  graph deltas (``apply_update``) without dropping traffic;
 - :mod:`~repro.serving.pool` — :class:`PoolClusterService`, the same
   front-end fanned out to worker *processes* over a shared-memory
   graph (:mod:`repro.graphs.shm`), with admission control

@@ -1,8 +1,7 @@
 """Multi-process serving: a worker pool over one shared-memory graph.
 
-:class:`~repro.serving.service.ClusterService` parallelizes *within* a
-block (one sparse mat-mat answers the whole batch) but a single process
-still serializes blocks — one GIL, one BLAS context.
+:class:`~repro.serving.service.ClusterService` answers every block on
+its one dispatcher thread — one GIL, one process.
 :class:`PoolClusterService` keeps the exact same front-end (``submit`` /
 ``cluster`` / ``apply_update`` / ``stats``) and fans the gathered blocks
 out to ``workers`` OS processes instead:
@@ -15,9 +14,11 @@ out to ``workers`` OS processes instead:
   (:meth:`LACA.from_fit_state` — no refitting), and owns a private
   :class:`~repro.diffusion.workspace.DiffusionWorkspace`;
 - the dispatcher thread gathers blocks exactly as before but *assigns*
-  them to the least-loaded live worker and moves on — a collector
-  thread resolves futures as results stream back, so all workers
-  compute concurrently;
+  them to the least-loaded live worker and moves on; the worker
+  computes the block with the service's own
+  :func:`~repro.serving.service.answer_block`, and a collector thread
+  hands each result to the service's resolve step as it streams back,
+  so all workers compute concurrently;
 - answers are **bitwise identical** to :meth:`LACA.cluster`: same
   arrays (shared pages), same engines, same arithmetic.
 
@@ -73,21 +74,11 @@ import threading
 import time
 import traceback
 
-import numpy as np
-
-from ..core.laca import top_k_cluster
 from ..core.pipeline import LACA
-from ..diffusion.base import begin_kernel_tally, end_kernel_tally
 from ..graphs.shm import attach_snapshot, publish_snapshot
 from ..graphs.store import GraphStore
 from ..obs.metrics import MetricsRegistry
-from .service import (
-    ClusterService,
-    _batch_support,
-    _fail_future,
-    _Request,
-    _result_support,
-)
+from .service import ClusterService, _fail_future, _Request, answer_block
 from .telemetry import make_engine_metrics
 
 __all__ = [
@@ -159,50 +150,6 @@ def _portable_error(exc: BaseException) -> BaseException:
         pass
     tb = "".join(traceback.format_exception(type(exc), exc, exc.__traceback__))
     return WorkerError(type(exc).__name__, str(exc), tb)
-
-
-def _compute_block(model, workspace, seeds, sizes, metrics=None):
-    """Worker-side mirror of ``ClusterService._answer_block``'s compute.
-
-    Same fast paths as the in-process dispatcher (sequential workspace
-    for singletons, block engine otherwise), so pool answers stay
-    bitwise identical and path-independent.  ``metrics`` is an optional
-    engine-introspection namespace (:func:`make_engine_metrics`) fed the
-    per-query iteration / frontier / touched-volume figures.
-    """
-    start = time.perf_counter()
-    if len(seeds) == 1:
-        result = model.scores(seeds[0], workspace=workspace)
-        clusters = [
-            top_k_cluster(
-                result.scores, sizes[0], seeds[0],
-                support=result.scores_support,
-            )
-        ]
-        supports = [_result_support(result)]
-        iteration_counts = [result.rwr.iterations + result.bdd.iterations]
-        frontier_peaks = [max(result.rwr.frontier_peak, result.bdd.frontier_peak)]
-    else:
-        result = model.scores_batch(seeds)
-        clusters = [result.cluster(b, sizes[b]) for b in range(len(seeds))]
-        supports = [_batch_support(result, b) for b in range(len(seeds))]
-        bdd = result.bdd
-        iteration_counts = [
-            int(result.rwr.column_iterations[b])
-            + (int(bdd.column_iterations[b]) if bdd is not None else 0)
-            for b in range(len(seeds))
-        ]
-        frontier_peaks = [0] * len(seeds)
-    engine_seconds = time.perf_counter() - start
-    if metrics is not None:
-        degrees = model._require_fit().degrees
-        for b, support in enumerate(supports):
-            metrics.query_iterations.observe(iteration_counts[b])
-            if frontier_peaks[b]:
-                metrics.frontier_peak.observe(frontier_peaks[b])
-            metrics.touched_nodes.observe(int(support.size))
-            metrics.touched_volume.observe(float(degrees[support].sum()))
-    return clusters, supports, engine_seconds
 
 
 def _hydrate(fit_state: dict, attached) -> LACA:
@@ -282,15 +229,9 @@ def _worker_main(
                     "worker.block",
                     worker_id=worker_id, spawn=spawn, block_index=blocks_seen,
                 )
-            tally = begin_kernel_tally()
-            try:
-                clusters, supports, engine_seconds = _compute_block(
-                    model, workspace, seeds, sizes, engine_metrics
-                )
-            finally:
-                tally = end_kernel_tally()
-            for kind, count in tally.items():
-                engine_metrics.kernel_selections.labels(kind).inc(count)
+            clusters, supports, engine_seconds = answer_block(
+                model, workspace, seeds, sizes, engine_metrics
+            )
             payload = (clusters, supports, engine_seconds, registry.drain())
             results.put(("result", worker_id, block_id, payload, None))
         except BaseException as exc:  # noqa: BLE001 — must always answer
@@ -744,32 +685,8 @@ class PoolClusterService(ClusterService):
                 _fail_future(request.future, error)
             return
         clusters, supports, engine_seconds, metrics_delta = payload
-        # One combined telemetry call per block: the per-worker ledger
-        # folds into the same lock acquisition as the batch counters
-        # (this used to be two separate round-trips).
-        self.telemetry.record_batch(len(block), engine_seconds, worker_id=worker_id)
         self.telemetry.merge_engine_delta(metrics_delta)
-        now = time.perf_counter()
-        for request, cluster, support in zip(block, clusters, supports):
-            cluster = np.asarray(cluster)
-            if self.cache is not None:
-                cluster = self.cache.put(request.key, cluster, support)
-            else:
-                cluster.setflags(write=False)
-            if not request.future.set_running_or_notify_cancel():
-                continue  # cancelled while queued; answer stays cached
-            span = request.span
-            if span is not None:
-                span.worker_id = worker_id
-                span.engine_s = engine_seconds
-                span.batch_size = len(block)
-                span.mark("resolved", now)
-                self.telemetry.record_span(span)
-                if self.trace_log is not None:
-                    self.trace_log.record_span(span)
-            else:
-                self.telemetry.record_latency(now - request.enqueued_at)
-            request.future.set_result(cluster)
+        self._resolve(block, clusters, supports, engine_seconds, worker_id)
 
     # ------------------------------------------------------------------
     # Supervisor: detect deaths, retry lost blocks, respawn workers.

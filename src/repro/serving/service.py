@@ -1,15 +1,16 @@
-"""Micro-batching cluster service: concurrent queries share traversals.
+"""Micro-batching cluster service: one dispatcher, one answer path.
 
-The block diffusion engine (PR 1) answers ``B`` seeds for far less than
-``B`` sequential traversals, but only if someone stacks the seeds into a
-block.  :class:`ClusterService` is that someone: callers ``submit`` one
-query each and get a future; a background dispatcher drains the queue
-into blocks of up to ``max_batch`` requests (waiting at most
-``max_wait_s`` for stragglers) and answers each block with one
-:meth:`LACA.scores_batch` call.  Answers are bitwise identical to
-sequential :meth:`LACA.cluster` — the block path is an equivalent
-reformulation, not an approximation — and are remembered in an LRU
-result cache consulted before enqueueing.
+Callers ``submit`` one query each and get a future; a background
+dispatcher drains the queue into blocks of up to ``max_batch`` requests
+(waiting at most ``max_wait_s`` for stragglers) and answers each block
+with :func:`answer_block`: Algo 4 per seed through the sequential
+frontier engines and one reusable diffusion workspace, so a query costs
+its touched volume (Theorem IV.1), never ``n``.  The block is the unit
+of dispatch — and, in :class:`~repro.serving.pool.PoolClusterService`,
+of IPC — not of arithmetic, so every answer is bitwise identical to
+:meth:`LACA.cluster` whatever it was batched with.  Answers are
+remembered in an epoch-aware LRU result cache consulted before
+enqueueing.
 """
 
 from __future__ import annotations
@@ -26,12 +27,13 @@ import numpy as np
 from ..core.laca import top_k_cluster
 from ..core.pipeline import LACA
 from ..diffusion.base import begin_kernel_tally, end_kernel_tally
+from ..diffusion.workspace import sorted_union
 from ..graphs.store import GraphDelta, GraphStore
 from ..obs.tracing import Span, TraceLog
 from .cache import ResultCache, config_digest, query_key
 from .telemetry import ServiceTelemetry
 
-__all__ = ["ClusterService", "UpdateTimeout"]
+__all__ = ["ClusterService", "UpdateTimeout", "answer_block"]
 
 #: Queue sentinel that tells the dispatcher to exit after the current block.
 _SHUTDOWN = object()
@@ -118,40 +120,85 @@ class _Update:
     future: Future = field(default_factory=Future)
 
 
-def _result_support(result) -> np.ndarray:
+def _footprint(result, n: int) -> np.ndarray:
     """Sorted union of every node the two diffusions of one query touched.
 
     This is the invalidation footprint the cache stores with the answer:
     a later delta whose touched set is disjoint from it cannot have
     influenced the query (no touched node's adjacency row, degree, or
     attribute row was ever read), so the cached cluster stays exact.
-    Copies out of any workspace views before they are recycled.
+
+    In the local regime both engines tracked their touched sets (sorted,
+    unique), and the footprint is their sorted merge — O(touched).  A
+    run that went graph-wide stopped tracking; its ``q``/``residual``
+    non-zeros cover every node it wrote (mass is non-negative and any
+    processed residual deposits ``α·r > 0`` into ``q``), so one boolean
+    OR and one ``flatnonzero`` give the same set.  Either way the result
+    is a fresh array, safe past the next workspace recycle.
     """
-    parts = []
-    for diffusion in (result.rwr, result.bdd):
+    rwr, bdd = result.rwr, result.bdd
+    if rwr.touched is not None and bdd.touched is not None:
+        return sorted_union(rwr.touched, bdd.touched)
+    mask = np.zeros(n, dtype=bool)
+    for diffusion in (rwr, bdd):
         if diffusion.touched is not None:
-            parts.append(diffusion.touched)
+            mask[diffusion.touched] = True
         else:
-            parts.append(np.flatnonzero(diffusion.q))
-            parts.append(np.flatnonzero(diffusion.residual))
-    return np.unique(np.concatenate(parts))
+            mask |= diffusion.q != 0.0
+            mask |= diffusion.residual != 0.0
+    return np.flatnonzero(mask)
 
 
-def _batch_support(result, b: int) -> np.ndarray:
-    """Per-column touched-node union for one query of a batched block.
+def answer_block(model, workspace, seeds, sizes, engine_metrics):
+    """Answer one block of queries: the only compute path in serving.
 
-    Final ``q``/``residual`` non-zeros cover every touched node: mass is
-    non-negative (no cancellation to exactly 0.0) and any processed
-    residual deposits ``α·r > 0`` into ``q``.
+    Each ``(seed, size)`` runs :meth:`LACA.scores` on ``workspace`` and
+    :func:`top_k_cluster` over the tracked score support, so every
+    answer is bitwise :meth:`LACA.cluster`'s and a steady-state local
+    query allocates nothing of length ``n``.  The block shares the
+    dispatch, not the arithmetic.
+
+    Engine introspection — the kernel tally, and per query its
+    iterations, frontier peak, touched nodes and touched volume — is
+    observed into ``engine_metrics`` (a
+    :func:`~repro.serving.telemetry.make_engine_metrics` namespace: the
+    head registry's in-process, a worker's private one in the pool).
+
+    Returns ``(clusters, supports, engine_seconds)``; ``supports`` are
+    the cache footprints, and ``engine_seconds`` covers the engine, the
+    top-k and the footprints.  An engine exception propagates: the
+    caller fails the whole block.
     """
-    parts = [
-        np.flatnonzero(result.rwr.q[:, b]),
-        np.flatnonzero(result.rwr.residual[:, b]),
-    ]
-    if result.bdd is not None:
-        parts.append(np.flatnonzero(result.bdd.q[:, b]))
-        parts.append(np.flatnonzero(result.bdd.residual[:, b]))
-    return np.unique(np.concatenate(parts))
+    start = time.perf_counter()
+    clusters, supports, iterations, frontier_peaks = [], [], [], []
+    begin_kernel_tally()
+    try:
+        for seed, size in zip(seeds, sizes):
+            result = model.scores(seed, workspace=workspace)
+            clusters.append(
+                top_k_cluster(
+                    result.scores, size, seed, support=result.scores_support
+                )
+            )
+            supports.append(_footprint(result, workspace.n))
+            iterations.append(result.rwr.iterations + result.bdd.iterations)
+            frontier_peaks.append(
+                max(result.rwr.frontier_peak, result.bdd.frontier_peak)
+            )
+    finally:
+        tally = end_kernel_tally()
+    engine_seconds = time.perf_counter() - start
+    for kind, count in tally.items():
+        engine_metrics.kernel_selections.labels(kind).inc(count)
+    degrees = model._require_fit().degrees
+    for support, iteration_count, frontier_peak in zip(
+        supports, iterations, frontier_peaks
+    ):
+        engine_metrics.query_iterations.observe(iteration_count)
+        engine_metrics.frontier_peak.observe(frontier_peak)
+        engine_metrics.touched_nodes.observe(int(support.size))
+        engine_metrics.touched_volume.observe(float(degrees[support].sum()))
+    return clusters, supports, engine_seconds
 
 
 class ClusterService:
@@ -234,8 +281,8 @@ class ClusterService:
         self._failed: BaseException | None = None
         self._n = graph.n
         # Owned by the dispatcher thread only: preallocated diffusion
-        # buffers so steady-state single-query blocks allocate nothing
-        # of length n (PR 3's zero-allocation hot path).
+        # buffers so steady-state local queries allocate nothing of
+        # length n (PR 3's zero-allocation hot path).
         self._workspace = model.make_workspace()
         self._queue: queue.SimpleQueue = queue.SimpleQueue()
         self._closed = False
@@ -690,13 +737,8 @@ class ClusterService:
         the new snapshot."""
 
     def _answer(self, block: list[_Request]) -> None:
-        """One engine call for the whole block, then resolve its futures.
-
-        A lone request takes the sequential workspace fast path (zero
-        length-``n`` allocations in steady state); larger blocks go
-        through the block engine.  Both produce bitwise-identical
-        clusters, so cache entries are path-independent.
-        """
+        """Answer the block in-process with :func:`answer_block`, then
+        resolve its futures (also the pool's in-process fallback)."""
         if self._failed is not None:
             # A refresh marker ahead of these requests failed: the model
             # may be behind the epoch their keys carry.  Fail them
@@ -708,7 +750,24 @@ class ClusterService:
                 _fail_future(request.future, error)
             return
         try:
-            self._answer_block(block)
+            start = time.perf_counter()
+            for request in block:
+                if request.span is not None:
+                    request.span.mark("dispatched", start)
+            try:
+                clusters, supports, engine_seconds = answer_block(
+                    self.model,
+                    self._workspace,
+                    [request.seed for request in block],
+                    [request.size for request in block],
+                    self.telemetry.engine_metrics,
+                )
+            except Exception as exc:  # surface engine failures per-request
+                for request in block:
+                    self.telemetry.record_error("engine")
+                    _fail_future(request.future, exc)
+                return
+            self._resolve(block, clusters, supports, engine_seconds)
         except BaseException as exc:  # noqa: BLE001 — liveness guard
             # Something *outside* the engine call escaped (telemetry,
             # cache insertion, a poisoned result object).  Resolve every
@@ -723,67 +782,24 @@ class ClusterService:
                 _fail_future(request.future, error)
             raise
 
-    def _answer_block(self, block: list[_Request]) -> None:
-        start = time.perf_counter()
-        for request in block:
-            if request.span is not None:
-                request.span.mark("dispatched", start)
-        tally = begin_kernel_tally()
-        try:
-            if len(block) == 1:
-                request = block[0]
-                result = self.model.scores(request.seed, workspace=self._workspace)
-                clusters = [
-                    top_k_cluster(
-                        result.scores,
-                        request.size,
-                        request.seed,
-                        support=result.scores_support,
-                    )
-                ]
-                supports = [_result_support(result)]
-                iteration_counts = [result.rwr.iterations + result.bdd.iterations]
-                frontier_peaks = [
-                    max(result.rwr.frontier_peak, result.bdd.frontier_peak)
-                ]
-            else:
-                result = self.model.scores_batch([request.seed for request in block])
-                clusters = [
-                    result.cluster(b, request.size)
-                    for b, request in enumerate(block)
-                ]
-                supports = [_batch_support(result, b) for b in range(len(block))]
-                bdd = result.bdd
-                iteration_counts = [
-                    int(result.rwr.column_iterations[b])
-                    + (int(bdd.column_iterations[b]) if bdd is not None else 0)
-                    for b in range(len(block))
-                ]
-                # The block engine's per-column frontiers are implicit in
-                # the shared mat-mat; it does not track peaks.
-                frontier_peaks = [0] * len(block)
-        except Exception as exc:  # surface engine failures per-request
-            for request in block:
-                self.telemetry.record_error("engine")
-                _fail_future(request.future, exc)
-            return
-        finally:
-            tally = end_kernel_tally()
-        engine_seconds = time.perf_counter() - start
-        self.telemetry.record_batch(len(block), engine_seconds)
-        if tally:
-            self.telemetry.record_kernel_selections(tally)
-        degrees = self.model._require_fit().degrees
+    def _resolve(
+        self,
+        block: list[_Request],
+        clusters,
+        supports,
+        engine_seconds: float,
+        worker_id: int | None = None,
+    ) -> None:
+        """Resolve one answered block: the only resolve path in serving.
+
+        Books the block, caches (or freezes) each cluster with its
+        footprint, stamps and records each span, and sets each future.
+        ``worker_id`` names the pool worker that computed the block
+        (``None`` in-process).
+        """
+        self.telemetry.record_batch(len(block), engine_seconds, worker_id=worker_id)
         now = time.perf_counter()
-        for b, (request, cluster, support) in enumerate(
-            zip(block, clusters, supports)
-        ):
-            self.telemetry.record_engine_introspection(
-                iteration_counts[b],
-                frontier_peaks[b],
-                support.size,
-                float(degrees[support].sum()),
-            )
+        for request, cluster, support in zip(block, clusters, supports):
             if self.cache is not None:
                 cluster = self.cache.put(request.key, cluster, support)
             else:
@@ -794,6 +810,7 @@ class ClusterService:
                 continue  # answer stays in the cache for the next asker
             span = request.span
             if span is not None:
+                span.worker_id = worker_id
                 span.engine_s = engine_seconds
                 span.batch_size = len(block)
                 span.mark("resolved", now)

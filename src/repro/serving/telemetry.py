@@ -332,35 +332,6 @@ class ServiceTelemetry:
         self._m_promoted.inc(int(promoted))
 
     # ------------------------------------------------------------------
-    def record_engine_introspection(
-        self,
-        iterations: int,
-        frontier_peak: int,
-        touched_nodes: int,
-        touched_volume: float,
-        kernels: dict | None = None,
-    ) -> None:
-        """One engine-answered query's introspection (head-side path).
-
-        Pool workers record the same figures into their own registry and
-        ship the delta home; see :meth:`merge_engine_delta`.
-        """
-        em = self.engine_metrics
-        em.query_iterations.observe(int(iterations))
-        if frontier_peak:
-            em.frontier_peak.observe(int(frontier_peak))
-        em.touched_nodes.observe(int(touched_nodes))
-        em.touched_volume.observe(float(touched_volume))
-        if kernels:
-            for kind, count in kernels.items():
-                em.kernel_selections.labels(kind).inc(count)
-
-    def record_kernel_selections(self, kernels: dict) -> None:
-        """Fold one block's kernel tally (``{kernel: count}``) in."""
-        selections = self.engine_metrics.kernel_selections
-        for kind, count in kernels.items():
-            selections.labels(kind).inc(count)
-
     def merge_engine_delta(self, families) -> None:
         """Fold a worker registry's :meth:`~MetricsRegistry.drain` home."""
         if families:

@@ -22,6 +22,9 @@ from repro.diffusion.nongreedy import nongreedy_diffuse
 from repro.diffusion.push import push_diffuse
 from repro.diffusion.workspace import DiffusionWorkspace, sorted_union
 from repro.graphs.generators import SBMConfig, attributed_sbm
+from repro.obs.metrics import MetricsRegistry
+from repro.serving.service import answer_block
+from repro.serving.telemetry import make_engine_metrics
 
 ENGINES = {
     "greedy": greedy_diffuse,
@@ -144,37 +147,71 @@ class TestBufferHygiene:
         assert not ws.in_queue.any()
 
 
+@pytest.fixture(scope="module")
+def big_model():
+    big = attributed_sbm(
+        SBMConfig(n=40_000, n_communities=10, avg_degree=6.0, d=8),
+        seed=3,
+        name="ws-big",
+    )
+    config = LacaConfig(
+        metric="cosine", k=8, diffusion="greedy", epsilon=1e-3
+    )
+    return LACA(config).fit(big)
+
+
+def _length_n_blocks(snapshot, n):
+    """Traces at least half a float64 length-``n`` buffer in size."""
+    threshold = n * 8 // 2
+    return [trace for trace in snapshot.traces if trace.size >= threshold]
+
+
 class TestZeroAllocationHotPath:
-    def test_local_query_allocates_no_length_n_arrays(self):
+    def test_local_query_allocates_no_length_n_arrays(self, big_model):
         """A steady-state query in the local regime must not allocate any
         length-``n`` array (the PR 3 serving contract)."""
-        big = attributed_sbm(
-            SBMConfig(n=40_000, n_communities=10, avg_degree=6.0, d=8),
-            seed=3,
-            name="ws-big",
-        )
-        config = LacaConfig(
-            metric="cosine", k=8, diffusion="greedy", epsilon=1e-3
-        )
-        model = LACA(config).fit(big)
+        model = big_model
+        big = model.graph
         ws = model.make_workspace()
         model.cluster(11, 8, workspace=ws)  # warm: caches and pools settled
-        result = laca_scores(big, 12, config=config, tnam=model.tnam, workspace=ws)
+        result = laca_scores(
+            big, 12, config=model.config, tnam=model.tnam, workspace=ws
+        )
         # ε=1e-3 bounds the touched volume at 5000 ≪ n/8: every scatter
         # stays on the zero-allocation unique route.
         assert 8 < result.scores_support.size < big.n // 8
-        threshold = big.n * 8 // 2  # half a float64 length-n buffer
         tracemalloc.start()
         try:
             model.cluster(13, 8, workspace=ws)
             snapshot = tracemalloc.take_snapshot()
         finally:
             tracemalloc.stop()
-        big_blocks = [
-            trace for trace in snapshot.traces if trace.size >= threshold
-        ]
+        big_blocks = _length_n_blocks(snapshot, big.n)
         assert not big_blocks, (
             f"hot path allocated {len(big_blocks)} length-n-scale block(s)"
+        )
+
+    def test_answer_block_allocates_no_length_n_arrays(self, big_model):
+        """The serving compute path keeps the contract for a whole block:
+        engine, top-k, cache footprint and introspection for 4 local
+        queries allocate nothing of length ``n``."""
+        model = big_model
+        ws = model.make_workspace()
+        engine_metrics = make_engine_metrics(MetricsRegistry("laca"))
+        answer_block(model, ws, [11, 12, 13, 14], [8] * 4, engine_metrics)  # warm
+        tracemalloc.start()
+        try:
+            clusters, supports, _seconds = answer_block(
+                model, ws, [15, 16, 17, 18], [8] * 4, engine_metrics
+            )
+            snapshot = tracemalloc.take_snapshot()
+        finally:
+            tracemalloc.stop()
+        assert [cluster.size for cluster in clusters] == [8] * 4
+        assert all(8 < support.size < model.graph.n // 8 for support in supports)
+        big_blocks = _length_n_blocks(snapshot, model.graph.n)
+        assert not big_blocks, (
+            f"answer_block allocated {len(big_blocks)} length-n-scale block(s)"
         )
 
 

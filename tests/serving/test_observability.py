@@ -162,6 +162,25 @@ class TestInProcessServiceObservability:
         assert set(stats) == EXPECTED_STATS_KEYS | service_keys
 
 
+@pytest.mark.parametrize("pool", [False, True], ids=["in-process", "pool"])
+def test_block_observes_introspection_per_request(fitted_model, pool):
+    """A block of 4 records one frontier peak and one touched-node count
+    per request, whether the dispatcher or a pool worker computed it."""
+    service_cls, extra = (
+        (PoolClusterService, {"workers": 1}) if pool else (ClusterService, {})
+    )
+    with service_cls(
+        fitted_model, max_batch=4, max_wait_s=5.0, cache_size=0, **extra
+    ) as service:
+        for future in service.submit_many(range(4), 12):
+            future.result(timeout=60.0)
+        stats = service.stats()
+        snap = service.telemetry.registry.snapshot()
+    assert stats["batches"] == 1 and stats["max_batch_occupancy"] == 4
+    assert snap["laca_frontier_peak"]["count"] == 4
+    assert snap["laca_touched_nodes"]["count"] == 4
+
+
 class TestPoolObservability:
     def test_worker_metrics_merge_into_head_registry(self, fitted_model, tmp_path):
         trace_path = tmp_path / "pool-trace.jsonl"

@@ -16,6 +16,7 @@ from repro.core.config import LacaConfig
 from repro.core.pipeline import LACA
 from repro.graphs import GraphDelta
 from repro.serving import ClusterService, UpdateTimeout
+from repro.serving.service import _footprint
 
 ENGINES = ["greedy", "nongreedy", "adaptive"]
 
@@ -193,11 +194,11 @@ class TestLifecycleAndValidation:
     def test_engine_failure_propagates_to_futures(self, small_sbm):
         model = _model(small_sbm)
         with ClusterService(model, max_wait_s=0.1) as service:
-            def boom(_seeds):
+            def boom(_seed, workspace=None):
                 raise RuntimeError("engine exploded")
 
             service.model = type(
-                "Broken", (), {"scores_batch": staticmethod(boom)}
+                "Broken", (), {"scores": staticmethod(boom)}
             )()
             futures = [service.submit(seed, 10) for seed in (0, 1)]
             for future in futures:
@@ -410,3 +411,38 @@ class TestFailureContainment:
                     thread.join()
             assert not problems
             assert service.stats()["epoch"] == 5
+
+
+def _unique_footprint(result) -> np.ndarray:
+    """The cache footprint as first defined: ``np.unique`` over each
+    diffusion's touched set, or over its ``q``/``residual`` non-zeros
+    when the run went graph-wide."""
+    parts = []
+    for diffusion in (result.rwr, result.bdd):
+        if diffusion.touched is not None:
+            parts.append(diffusion.touched)
+        else:
+            parts.append(np.flatnonzero(diffusion.q))
+            parts.append(np.flatnonzero(diffusion.residual))
+    return np.unique(np.concatenate(parts))
+
+
+class TestFootprint:
+    @pytest.mark.parametrize("engine", ENGINES + ["push"])
+    @pytest.mark.parametrize(
+        "epsilon, graph_wide", [(0.05, False), (1e-6, True)],
+        ids=["local", "dense-fallback"],
+    )
+    def test_equals_unique_definition_bitwise(
+        self, small_sbm, engine, epsilon, graph_wide
+    ):
+        model = _model(small_sbm, engine, epsilon=epsilon)
+        workspace = model.make_workspace()
+        for seed in (0, 7, 33, 60, 91):
+            result = model.scores(seed, workspace=workspace)
+            tracked = (result.rwr.touched, result.bdd.touched)
+            assert all((t is None) == graph_wide for t in tracked)
+            expected = _unique_footprint(result)
+            got = _footprint(result, small_sbm.n)
+            assert got.dtype == expected.dtype
+            np.testing.assert_array_equal(got, expected)
