@@ -9,7 +9,6 @@ trajectory is tracked in-repo instead of vanishing with each session:
   retained pre-PR3 reference kernels, on the Fig. 10 scalability graph
   at default ε (the PR 3 acceptance evidence) and at the registered
   scale;
-* batched seeds/sec across block widths (the PR 1 win, re-measured);
 * serving latency — p50/p95 and occupancy through a live
   :class:`ClusterService` under concurrent load (the PR 2 win);
 * per-engine iteration work — the Theorem IV.1 cost-model numbers;
@@ -156,29 +155,6 @@ def bench_single_seed(scale: float, engines, n_seeds: int, repeats: int) -> dict
             "speedup": round(old_s / new_s, 2),
         }
     return out
-
-
-def bench_batched(scale: float, n_seeds: int) -> dict:
-    graph = load_dataset("arxiv", scale=scale)
-    model = LACA(LacaConfig(metric="cosine", diffusion="greedy")).fit(graph)
-    seeds = [
-        int(s)
-        for s in np.random.default_rng(1).choice(graph.n, n_seeds, replace=False)
-    ]
-    model.cluster_many(seeds[:4], size=20)  # warm
-    rates = {}
-    for batch in (1, 16, 64):
-        elapsed = _best_of(
-            2, lambda: model.cluster_many(seeds, size=20, batch_size=batch)
-        )
-        rates[str(batch)] = round(len(seeds) / elapsed, 1)
-    return {
-        "graph": "arxiv",
-        "scale": scale,
-        "engine": "greedy",
-        "seeds_per_s_by_batch": rates,
-        "batch64_vs_sequential": round(rates["64"] / rates["1"], 2),
-    }
 
 
 def bench_serving(scale: float, n_requests: int) -> dict:
@@ -615,7 +591,7 @@ def main(argv=None) -> int:
 
     if args.smoke:
         big_scale, small_scale, n_seeds, repeats = 4.0, 0.5, 4, 1
-        batch_seeds, serve_requests = 64, 64
+        serve_requests = 64
         update_deltas, update_queries = 8, 32
         pool_scale, pool_requests, pool_workers = 4.0, 64, 2
         obs_requests, obs_repeats = 64, 2
@@ -623,7 +599,7 @@ def main(argv=None) -> int:
         replay_n, replay_epochs, replay_queries, replay_verify = 400, 5, 24, 2
     else:
         big_scale, small_scale, n_seeds, repeats = 21.0, 1.0, 8, 3
-        batch_seeds, serve_requests = 192, 256
+        serve_requests = 256
         update_deltas, update_queries = 32, 128
         pool_scale, pool_requests = 21.0, 256
         pool_workers = min(4, max(2, os.cpu_count() or 1))
@@ -648,7 +624,6 @@ def main(argv=None) -> int:
         "single_seed_registered_scale": bench_single_seed(
             small_scale, ("adaptive", "greedy"), max(8, n_seeds), repeats
         ),
-        "batched": bench_batched(small_scale, batch_seeds),
         "serving": bench_serving(small_scale, serve_requests),
         "engine_work": bench_engine_work(small_scale),
         # The PR 5 acceptance evidence: incremental updates on the same

@@ -11,7 +11,9 @@ perfectly:
   same query stream (the pool's governing contract, upheld through the
   kill via idempotent block retry);
 * ``/stats`` records the supervision actually happening
-  (``worker_restarts`` >= 1).
+  (``worker_restarts`` >= 1);
+* serve exits 0 on SIGTERM and leaves no ``/dev/shm/psm_*`` segment
+  behind, the killed worker notwithstanding.
 
 Exits non-zero with a reason on any violation.  Used by CI; also handy
 manually::
@@ -21,6 +23,7 @@ manually::
 
 from __future__ import annotations
 
+import glob
 import json
 import os
 import re
@@ -34,6 +37,7 @@ from pathlib import Path
 
 N_QUERIES = 240
 LINGER_S = 15.0
+STOP_TIMEOUT_S = 30.0
 
 SERVE_ARGS = [
     "--dataset", "cora", "--scale", "0.2",
@@ -42,9 +46,10 @@ SERVE_ARGS = [
 
 
 def kill_tree(proc: subprocess.Popen) -> None:
-    """Kill serve *and* its pool workers (they share a process group)."""
+    """Kill serve *and* its pool workers (they share a process group,
+    which serve leads: it was started with ``start_new_session``)."""
     try:
-        os.killpg(os.getpgid(proc.pid), signal.SIGKILL)
+        os.killpg(proc.pid, signal.SIGKILL)
     except (ProcessLookupError, PermissionError):
         pass
     try:
@@ -53,10 +58,46 @@ def kill_tree(proc: subprocess.Popen) -> None:
         pass
 
 
+def stop(proc: subprocess.Popen) -> int | None:
+    """SIGTERM serve, which closes its pool and unlinks the pool's shared
+    memory, and wait for it to exit.  SIGKILL then reaps whatever is
+    left of the process group.  Returns serve's exit status, or None
+    when serve was still running at the timeout."""
+    proc.send_signal(signal.SIGTERM)
+    try:
+        proc.wait(timeout=STOP_TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        pass
+    status = proc.poll()
+    kill_tree(proc)
+    return status
+
+
+def shm_segments() -> set[str]:
+    """The multiprocessing shared-memory segments that exist right now."""
+    return set(glob.glob("/dev/shm/psm_*"))
+
+
+def stop_cleanly(proc: subprocess.Popen, shm_before: set[str]) -> None:
+    """Stop serve with SIGTERM; fail unless it exited 0 and left no
+    shared-memory segment behind."""
+    published = shm_segments() - shm_before
+    status = stop(proc)
+    if not published:
+        fail("no shared-memory segment seen while serving: leak check is void")
+    if status is None:
+        fail(f"serve still running {STOP_TIMEOUT_S:.0f}s after SIGTERM")
+    if status != 0:
+        fail(f"serve exited with status {status} on SIGTERM")
+    leaked = sorted(shm_segments() - shm_before)
+    if leaked:
+        fail(f"shared memory outlived serve: {leaked}")
+
+
 def fail(reason: str, proc: subprocess.Popen | None = None) -> "NoReturn":
     print(f"CHAOS SMOKE FAIL: {reason}", file=sys.stderr)
     if proc is not None:
-        kill_tree(proc)
+        stop(proc)
     sys.exit(1)
 
 
@@ -112,6 +153,7 @@ def main() -> int:
     if len(oracle) != N_QUERIES:
         fail(f"oracle answered {len(oracle)}/{N_QUERIES} queries")
 
+    shm_before = shm_segments()
     proc = subprocess.Popen(
         [
             sys.executable, "-m", "repro", "serve",
@@ -177,7 +219,7 @@ def main() -> int:
     ):
         time.sleep(0.2)
         stats = json.loads(scrape(port, "/stats"))
-    kill_tree(proc)
+    stop_cleanly(proc, shm_before)
 
     # Bitwise identity with the clean oracle, kill or no kill.
     for got, want in zip(responses, oracle):

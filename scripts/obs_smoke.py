@@ -14,7 +14,9 @@ non-empty:
 * per-stage latency histograms and the touched-volume histogram carry
   one sample per request;
 * every JSON response line carries a trace id, and the trace log holds
-  one span per request.
+  one span per request;
+* serve exits 0 on SIGTERM and leaves no ``/dev/shm/psm_*`` segment
+  behind (the pool unlinks what it published).
 
 Exits non-zero with a reason on any missing signal.  Used by CI; also
 handy manually::
@@ -24,6 +26,7 @@ handy manually::
 
 from __future__ import annotations
 
+import glob
 import json
 import os
 import re
@@ -37,12 +40,14 @@ from pathlib import Path
 
 N_QUERIES = 24
 LINGER_S = 20.0
+STOP_TIMEOUT_S = 30.0
 
 
 def kill_tree(proc: subprocess.Popen) -> None:
-    """Kill serve *and* its pool workers (they share a process group)."""
+    """Kill serve *and* its pool workers (they share a process group,
+    which serve leads: it was started with ``start_new_session``)."""
     try:
-        os.killpg(os.getpgid(proc.pid), signal.SIGKILL)
+        os.killpg(proc.pid, signal.SIGKILL)
     except (ProcessLookupError, PermissionError):
         pass
     try:
@@ -51,10 +56,46 @@ def kill_tree(proc: subprocess.Popen) -> None:
         pass
 
 
+def stop(proc: subprocess.Popen) -> int | None:
+    """SIGTERM serve, which closes its pool and unlinks the pool's shared
+    memory, and wait for it to exit.  SIGKILL then reaps whatever is
+    left of the process group.  Returns serve's exit status, or None
+    when serve was still running at the timeout."""
+    proc.send_signal(signal.SIGTERM)
+    try:
+        proc.wait(timeout=STOP_TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        pass
+    status = proc.poll()
+    kill_tree(proc)
+    return status
+
+
+def shm_segments() -> set[str]:
+    """The multiprocessing shared-memory segments that exist right now."""
+    return set(glob.glob("/dev/shm/psm_*"))
+
+
+def stop_cleanly(proc: subprocess.Popen, shm_before: set[str]) -> None:
+    """Stop serve with SIGTERM; fail unless it exited 0 and left no
+    shared-memory segment behind."""
+    published = shm_segments() - shm_before
+    status = stop(proc)
+    if not published:
+        fail("no shared-memory segment seen while serving: leak check is void")
+    if status is None:
+        fail(f"serve still running {STOP_TIMEOUT_S:.0f}s after SIGTERM")
+    if status != 0:
+        fail(f"serve exited with status {status} on SIGTERM")
+    leaked = sorted(shm_segments() - shm_before)
+    if leaked:
+        fail(f"shared memory outlived serve: {leaked}")
+
+
 def fail(reason: str, proc: subprocess.Popen | None = None) -> "NoReturn":
     print(f"SMOKE FAIL: {reason}", file=sys.stderr)
     if proc is not None:
-        kill_tree(proc)
+        stop(proc)
     sys.exit(1)
 
 
@@ -71,6 +112,7 @@ def main() -> int:
     queries.write_text("".join(f"{seed} 15\n" for seed in range(N_QUERIES)))
     trace_path = tmp / "trace.jsonl"
 
+    shm_before = shm_segments()
     proc = subprocess.Popen(
         [
             sys.executable, "-m", "repro", "serve",
@@ -119,7 +161,7 @@ def main() -> int:
     metrics = scrape(port, "/metrics")
     stats = json.loads(scrape(port, "/stats"))
     health = scrape(port, "/healthz")
-    kill_tree(proc)
+    stop_cleanly(proc, shm_before)
 
     if health.strip() != "ok":
         fail(f"unexpected /healthz body: {health!r}")

@@ -42,10 +42,6 @@ from .attributes import build_tnam, snas_matrix, TNAM
 from .diffusion import (
     DiffusionWorkspace,
     adaptive_diffuse,
-    batch_adaptive_diffuse,
-    batch_diffuse,
-    batch_greedy_diffuse,
-    batch_nongreedy_diffuse,
     exact_diffusion,
     exact_rwr,
     greedy_diffuse,
@@ -57,7 +53,6 @@ from .core import (
     LacaConfig,
     exact_bdd,
     laca_scores,
-    laca_scores_batch,
     top_k_cluster,
 )
 from .baselines import make_method, method_names
@@ -77,10 +72,6 @@ __all__ = [
     "TNAM",
     "DiffusionWorkspace",
     "adaptive_diffuse",
-    "batch_adaptive_diffuse",
-    "batch_diffuse",
-    "batch_greedy_diffuse",
-    "batch_nongreedy_diffuse",
     "exact_diffusion",
     "exact_rwr",
     "greedy_diffuse",
@@ -90,7 +81,6 @@ __all__ = [
     "LacaConfig",
     "exact_bdd",
     "laca_scores",
-    "laca_scores_batch",
     "top_k_cluster",
     "make_method",
     "method_names",

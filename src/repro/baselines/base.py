@@ -63,23 +63,12 @@ class LocalClusteringMethod(abc.ABC):
         return top_k_cluster(scores, size, seed)
 
     def score_vector_batch(self, seeds) -> list[np.ndarray]:
-        """Score vectors for many seeds; element ``b`` answers ``seeds[b]``.
-
-        The default loops over :meth:`score_vector`; methods with a
-        batched scoring path (LACA's block diffusion) override this so
-        callers that need full score vectors — not just extracted
-        clusters — still share each sparse mat-mat.
-        """
+        """Score vectors for many seeds; element ``b`` answers ``seeds[b]``."""
         return [self.score_vector(int(seed)) for seed in seeds]
 
     def cluster_batch(self, seeds, sizes) -> list[np.ndarray]:
-        """Answer many seed queries at once; element ``b`` is the cluster
-        of ``seeds[b]`` at size ``sizes[b]``.
-
-        The default loops over :meth:`cluster`; methods with a batched
-        scoring path (LACA's block diffusion) override this so the whole
-        batch shares each sparse mat-mat.
-        """
+        """Answer many seed queries; element ``b`` is the cluster of
+        ``seeds[b]`` at size ``sizes[b]``."""
         if len(seeds) != len(sizes):
             raise ValueError(
                 f"got {len(seeds)} seeds but {len(sizes)} cluster sizes"

@@ -47,18 +47,6 @@ class _LacaAdapter(LocalClusteringMethod):
     def score_vector(self, seed: int):
         return self.model.score_vector(seed)
 
-    def score_vector_batch(self, seeds):
-        result = self.model.scores_batch(seeds)
-        return [result.column(b) for b in range(len(seeds))]
-
-    def cluster_batch(self, seeds, sizes):
-        if len(seeds) != len(sizes):
-            raise ValueError(
-                f"got {len(seeds)} seeds but {len(sizes)} cluster sizes"
-            )
-        result = self.model.scores_batch(seeds)
-        return [result.cluster(b, int(size)) for b, size in enumerate(sizes)]
-
 
 def _embedding_variants(cls, label: str) -> dict[str, Callable[[], LocalClusteringMethod]]:
     return {

@@ -12,7 +12,7 @@ Cluster with LACA on a registered dataset::
     python -m repro cluster --dataset cora --seed 42
     python -m repro cluster --dataset yelp --seed 7 --method "SimAttr (C)"
 
-Answer many seeds in one batched query (block diffusion)::
+Answer many seeds in one run (a per-seed table plus throughput)::
 
     python -m repro cluster --dataset cora --seed 3 14 159 --batch
 
@@ -63,8 +63,12 @@ recall, cluster stability, cache churn, and latency percentiles::
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
+import signal
 import sys
+import threading
 import time
 
 import numpy as np
@@ -143,11 +147,10 @@ def _json_records(graph, method, seeds, sizes, truths) -> list[dict]:
     """Machine-readable result rows (the ``--json`` output format).
 
     Ranking methods derive members *and* member scores from a single
-    (batched) scoring pass; methods that override ``cluster`` with a
-    non-ranking extraction keep their extraction and pay one extra
-    scoring pass, outside the timed window, for the score report.  The
-    timed window is split evenly over seeds, the harness's batched
-    convention.
+    scoring pass; methods that override ``cluster`` with a non-ranking
+    extraction keep their extraction and pay one extra scoring pass,
+    outside the timed window, for the score report.  The timed window
+    is split evenly over seeds.
     """
     ranked = type(method).cluster is LocalClusteringMethod.cluster
     start = time.perf_counter()
@@ -264,7 +267,41 @@ def _read_queries(source, default_size, graph):
     return pairs
 
 
+@contextlib.contextmanager
+def _sigterm_exits():
+    """Turn the first SIGTERM into ``SystemExit(0)`` in this process.
+
+    The exit unwinds ``with service_ctx``, so a pool joins its workers
+    and unlinks its shared-memory segments instead of leaking them; a
+    second SIGTERM takes the default action.  Pool workers forked while
+    the handler is installed inherit it, and in them it falls back to
+    the default action, which the pool's ``terminate()`` relies on.
+    """
+    if threading.current_thread() is not threading.main_thread():
+        yield  # signal handlers can only be set from the main thread
+        return
+    owner = os.getpid()
+
+    def _handler(signum, _frame):
+        signal.signal(signum, signal.SIG_DFL)
+        if os.getpid() != owner:
+            os.kill(os.getpid(), signum)
+            return
+        raise SystemExit(0)
+
+    previous = signal.signal(signal.SIGTERM, _handler)
+    try:
+        yield
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+
+
 def _cmd_serve(args) -> int:
+    with _sigterm_exits():
+        return _serve(args)
+
+
+def _serve(args) -> int:
     from .core.pipeline import LACA
     from .obs import MetricsServer, TraceLog
     from .serving import (

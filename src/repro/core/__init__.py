@@ -8,11 +8,9 @@ from .bdd import (
 )
 from .config import LacaConfig
 from .laca import (
-    LacaBatchResult,
     LacaResult,
     extract_cluster,
     laca_scores,
-    laca_scores_batch,
     top_k_cluster,
 )
 from .pipeline import LACA
@@ -27,10 +25,8 @@ __all__ = [
     "exact_bdd_via_transform",
     "LacaConfig",
     "LacaResult",
-    "LacaBatchResult",
     "extract_cluster",
     "laca_scores",
-    "laca_scores_batch",
     "top_k_cluster",
     "LACA",
     "SweepResult",

@@ -17,7 +17,6 @@ import numpy as np
 from ..attributes.tnam import TNAM
 from ..diffusion.adaptive import adaptive_diffuse
 from ..diffusion.base import DiffusionResult
-from ..diffusion.batch import BatchDiffusionResult, batch_diffuse
 from ..diffusion.greedy import greedy_diffuse
 from ..diffusion.nongreedy import nongreedy_diffuse
 from ..diffusion.push import push_diffuse
@@ -27,9 +26,7 @@ from .config import LacaConfig
 
 __all__ = [
     "LacaResult",
-    "LacaBatchResult",
     "laca_scores",
-    "laca_scores_batch",
     "extract_cluster",
     "top_k_cluster",
 ]
@@ -197,167 +194,6 @@ def laca_scores(
     return LacaResult(
         scores=scores, seed=seed, rwr=rwr_result, bdd=bdd_result, psi=psi,
         scores_support=bdd_support,
-    )
-
-
-@dataclass
-class LacaBatchResult:
-    """Scores and diagnostics from one batched LACA run over ``B`` seeds.
-
-    ``scores`` stacks the per-seed approximate BDD vectors ρ′ as columns;
-    column ``b`` answers ``seeds[b]``.  Diagnostics expose the two block
-    diffusions (``bdd`` is None when every column had zero SNAS mass).
-    """
-
-    scores: np.ndarray
-    seeds: np.ndarray
-    rwr: BatchDiffusionResult
-    bdd: BatchDiffusionResult | None
-    psi: np.ndarray | None
-
-    @property
-    def n_queries(self) -> int:
-        return self.seeds.shape[0]
-
-    def support_sizes(self) -> np.ndarray:
-        """Per-query count of nodes the diffusion actually touched."""
-        return np.count_nonzero(self.scores, axis=0)
-
-    def column(self, b: int) -> np.ndarray:
-        """The ρ′ vector of query ``b`` (a copy-free column view)."""
-        return self.scores[:, b]
-
-    def cluster(self, b: int, size: int) -> np.ndarray:
-        """Top-``size`` nodes of query ``b`` (its seed always included)."""
-        return top_k_cluster(self.scores[:, b], size, int(self.seeds[b]))
-
-
-def _batch_diffuse_cfg(
-    graph: AttributedGraph, F: np.ndarray, config: LacaConfig, epsilon
-) -> BatchDiffusionResult:
-    return batch_diffuse(
-        graph,
-        F,
-        alpha=config.alpha,
-        epsilon=epsilon,
-        engine=config.diffusion,
-        sigma=config.sigma,
-    )
-
-
-def laca_scores_batch(
-    graph: AttributedGraph,
-    seeds,
-    config: LacaConfig | None = None,
-    tnam: TNAM | None = None,
-) -> LacaBatchResult:
-    """Run Algo 4 for many seeds at once via block diffusion.
-
-    Column ``b`` of the result matches ``laca_scores(graph, seeds[b])``
-    run with the same config — exactly on non-SNAS graphs, and up to
-    floating-point accumulation order on the SNAS path, where Step 2's
-    batched mat-mats sum over the block's union support instead of each
-    column's own support slice (O(1e-16) relative noise; the diffusion
-    schedules themselves are identical).  Step 1 diffuses all one-hot
-    seed columns as one ``n × B`` block, Step 2 computes every ψ via one
-    ``Π[U]ᵀ Z[U]`` mat-mat and every φ′ via one ``Z[U] Ψᵀ`` mat-mat over
-    the union support ``U`` (Eqs. 12/13), and Step 3 block-diffuses Φ′
-    with per-column thresholds ``ε·‖φ′_b‖₁``.
-    Duplicate seeds are answered independently (identical columns); a
-    ``"push"`` diffusion config degrades to a per-column loop because the
-    queue-based engine has no block form.
-    """
-    config = config or LacaConfig()
-    config.validate()
-    seeds = np.asarray(seeds, dtype=np.int64).reshape(-1)
-    if seeds.size and not (0 <= seeds.min() and seeds.max() < graph.n):
-        bad = seeds[(seeds < 0) | (seeds >= graph.n)][0]
-        raise IndexError(f"seed {bad} out of range for n={graph.n}")
-    use_snas = config.use_snas and graph.attributes is not None
-    if use_snas and tnam is None:
-        raise ValueError(
-            "laca_scores_batch needs the TNAM from build_tnam() when "
-            "use_snas=True; use LACA (the pipeline class) to manage "
-            "preprocessing"
-        )
-    n, n_queries = graph.n, seeds.shape[0]
-    degrees = graph.degrees
-
-    # Step 1 (block): estimate every RWR vector π′ in one diffusion of
-    # the column-stacked one-hot seeds.
-    F = np.zeros((n, n_queries))
-    F[seeds, np.arange(n_queries)] = 1.0
-    rwr_result = _batch_diffuse_cfg(graph, F, config, config.epsilon)
-    Pi = rwr_result.q
-
-    # Step 2 (block): Ψ = Πᵀ Z (Eq. 12, one mat-mat for every column's
-    # support sum) and Φ′ = relu(Z Ψᵀ) ⊙ d restricted to each column's
-    # own support (Eq. 13).  The mat-mats and the per-column support
-    # mask run on the *union support* of the block — the rows some
-    # column actually reached — so Step 2 costs O(|U|·k·B), not
-    # O(n·k·B), and the old dense n×B ``Phi[Pi == 0.0]`` mask is gone.
-    psi = None
-    if use_snas:
-        union = np.flatnonzero(Pi.any(axis=1))
-        z_union = tnam.z[union]
-        pi_union = Pi[union]
-        psi = pi_union.T @ z_union
-        phi_union = np.maximum(z_union @ psi.T, 0.0) * degrees[union][:, None]
-        phi_union[pi_union == 0.0] = 0.0
-        masses = phi_union.sum(axis=0)
-    else:
-        Phi = Pi * degrees[:, None]
-        masses = Phi.sum(axis=0)
-
-    # Step 3 (block): diffuse the surviving Φ′ columns with per-column
-    # thresholds ε·‖φ′_b‖₁ and divide by degrees.  Zero-mass columns
-    # (no positive SNAS mass on the support) keep all-zero scores.
-    live = np.flatnonzero(masses > 0.0)
-    scores = np.zeros((n, n_queries))
-    bdd_result = None
-    if live.size:
-        if use_snas:
-            live_block = np.zeros((n, live.size))
-            live_block[union] = phi_union[:, live]
-        else:
-            live_block = Phi[:, live]
-        bdd_result = _batch_diffuse_cfg(
-            graph, live_block, config, config.epsilon * masses[live]
-        )
-        if live.size < n_queries:
-            bdd_result = _expand_columns(bdd_result, live, n_queries)
-        scores = bdd_result.q / degrees[:, None]
-    return LacaBatchResult(
-        scores=scores, seeds=seeds, rwr=rwr_result, bdd=bdd_result, psi=psi
-    )
-
-
-def _expand_columns(
-    result: BatchDiffusionResult, live: np.ndarray, n_queries: int
-) -> BatchDiffusionResult:
-    """Re-insert retired all-zero columns so diagnostics align with seeds."""
-    n = result.q.shape[0]
-    q = np.zeros((n, n_queries))
-    residual = np.zeros((n, n_queries))
-    column_iterations = np.zeros(n_queries, dtype=np.int64)
-    greedy_steps = np.zeros(n_queries, dtype=np.int64)
-    nongreedy_steps = np.zeros(n_queries, dtype=np.int64)
-    work = np.zeros(n_queries)
-    q[:, live] = result.q
-    residual[:, live] = result.residual
-    column_iterations[live] = result.column_iterations
-    greedy_steps[live] = result.greedy_steps
-    nongreedy_steps[live] = result.nongreedy_steps
-    work[live] = result.work
-    return BatchDiffusionResult(
-        q=q,
-        residual=residual,
-        iterations=result.iterations,
-        column_iterations=column_iterations,
-        greedy_steps=greedy_steps,
-        nongreedy_steps=nongreedy_steps,
-        work=work,
-        residual_history=result.residual_history,
     )
 
 

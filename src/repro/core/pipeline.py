@@ -9,13 +9,12 @@ the TNAM once, reusable for every seed) and a per-seed online stage
     >>> model = LACA(metric="cosine").fit(graph)
     >>> cluster = model.cluster(seed=0, size=120)
 
-Concurrent seed queries should go through the batched entry points —
-:meth:`LACA.scores_batch` and :meth:`LACA.cluster_many` — which stack the
-seeds into one ``n × B`` block and answer them with shared sparse
-mat-mats instead of ``B`` independent traversals:
+Many seeds go through :meth:`LACA.cluster_many`, which answers them one
+by one on a single reused :class:`~repro.diffusion.DiffusionWorkspace`,
+so a local query costs its touched volume and allocates nothing of
+length ``n``:
 
     >>> clusters = model.cluster_many([0, 17, 42], size=120)
-    >>> block = model.scores_batch([0, 17, 42])  # per-seed ρ′ columns
 """
 
 from __future__ import annotations
@@ -30,13 +29,7 @@ from ..diffusion.workspace import DiffusionWorkspace
 from ..graphs.graph import AttributedGraph
 from ..graphs.store import GraphStore
 from .config import LacaConfig
-from .laca import (
-    LacaBatchResult,
-    LacaResult,
-    laca_scores,
-    laca_scores_batch,
-    top_k_cluster,
-)
+from .laca import LacaResult, laca_scores, top_k_cluster
 
 __all__ = ["LACA"]
 
@@ -173,48 +166,28 @@ class LACA:
         result = self.scores(seed, workspace=workspace)
         return top_k_cluster(result.scores, size, seed, support=result.scores_support)
 
-    def scores_batch(self, seeds) -> LacaBatchResult:
-        """Answer many seed queries with one block diffusion (Algo 4 ×B).
+    def scores_batch(self, seeds) -> list[LacaResult]:
+        """Per-seed :meth:`scores`; kept for ``perfbench/layers.py::block_pass``."""
+        self._require_fit()
+        return [self.scores(int(seed)) for seed in seeds]
 
-        Column ``b`` of the result is the ρ′ vector of ``seeds[b]``; all
-        columns share a single sparse mat-mat per diffusion iteration
-        instead of one traversal per seed.
+    def cluster_many(self, seeds, size: int | None = None) -> dict[int, np.ndarray]:
+        """Predicted clusters of many seeds, keyed by seed.
+
+        Each seed runs :meth:`cluster` on one shared workspace, so past
+        the workspace's own buffers a local query allocates nothing of
+        length ``n``.  ``size=None`` uses each seed's ground-truth cluster
+        size (the paper's evaluation protocol); that requires the graph
+        to carry communities.
         """
         graph = self._require_fit()
-        return laca_scores_batch(graph, seeds, config=self.config, tnam=self.tnam)
-
-    def cluster_many(
-        self, seeds, size: int | None = None, batch_size: int | None = None
-    ) -> dict[int, np.ndarray]:
-        """Batched queries sharing preprocessing *and* diffusion mat-mats.
-
-        Seeds are answered in blocks through :meth:`scores_batch`, which
-        is the fleet-serving hot path (one sparse mat-mat per iteration
-        for the whole block).  ``size=None`` uses each seed's
-        ground-truth cluster size (the paper's evaluation protocol);
-        that requires the graph to carry communities.  ``batch_size``
-        caps the block width (None answers all seeds in one block;
-        ``1`` recovers the sequential per-seed path).
-        """
-        graph = self._require_fit()
-        seeds = [int(seed) for seed in seeds]
-        if batch_size is not None and batch_size < 1:
-            raise ValueError(f"batch_size must be positive, got {batch_size}")
-        sizes = [
-            graph.ground_truth_cluster(seed).shape[0] if size is None else size
-            for seed in seeds
-        ]
+        workspace = self.make_workspace()
         clusters: dict[int, np.ndarray] = {}
-        if batch_size == 1:
-            for seed, target in zip(seeds, sizes):
-                clusters[seed] = self.cluster(seed, target)
-            return clusters
-        step = batch_size or max(len(seeds), 1)
-        for lo in range(0, len(seeds), step):
-            chunk = seeds[lo : lo + step]
-            result = self.scores_batch(chunk)
-            for b, seed in enumerate(chunk):
-                clusters[seed] = result.cluster(b, sizes[lo + b])
+        for seed in map(int, seeds):
+            target = size
+            if target is None:
+                target = graph.ground_truth_cluster(seed).shape[0]
+            clusters[seed] = self.cluster(seed, target, workspace=workspace)
         return clusters
 
     # ------------------------------------------------------------------

@@ -1,14 +1,6 @@
 """RWR-based graph diffusion algorithms (Section IV of the paper)."""
 
 from .base import DiffusionResult, validate_diffusion_inputs
-from .batch import (
-    BatchDiffusionResult,
-    batch_adaptive_diffuse,
-    batch_diffuse,
-    batch_greedy_diffuse,
-    batch_nongreedy_diffuse,
-    validate_batch_inputs,
-)
 from .exact import exact_diffusion, exact_rwr, rwr_matrix
 from .greedy import greedy_diffuse
 from .nongreedy import nongreedy_diffuse
@@ -19,9 +11,7 @@ from .workspace import DiffusionWorkspace
 __all__ = [
     "DiffusionResult",
     "DiffusionWorkspace",
-    "BatchDiffusionResult",
     "validate_diffusion_inputs",
-    "validate_batch_inputs",
     "exact_diffusion",
     "exact_rwr",
     "rwr_matrix",
@@ -29,8 +19,4 @@ __all__ = [
     "nongreedy_diffuse",
     "adaptive_diffuse",
     "push_diffuse",
-    "batch_diffuse",
-    "batch_greedy_diffuse",
-    "batch_nongreedy_diffuse",
-    "batch_adaptive_diffuse",
 ]

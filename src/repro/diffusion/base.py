@@ -40,18 +40,18 @@ __all__ = [
 SELECTIVE_VOLUME_FRACTION = 0.0625
 
 
-def full_scatter_cost(nnz: int, n: int, n_columns: int = 1) -> float:
-    """Cost model of one full transition mat-vec (or mat-mat of width B).
+def full_scatter_cost(nnz: int, n: int) -> float:
+    """Cost model of one full transition mat-vec.
 
     ``nnz`` edge visits for the sparse product plus a handful of dense
     length-``n`` passes (degree normalization, residual update, support
-    rescan), per column.
+    rescan).
     """
-    return float(nnz + 4 * n) * n_columns
+    return float(nnz + 4 * n)
 
 
 def selective_scatter_is_cheaper(support_volume: float, full_cost: float) -> bool:
-    """Volume-based kernel switch shared by sequential and batch engines.
+    """Volume-based kernel switch shared by every frontier engine.
 
     ``support_volume`` is ``degrees[support].sum()`` — the work the
     selective scatter actually performs — compared against the cost of a
@@ -134,7 +134,7 @@ class DiffusionResult:
     frontier_peak:
         Largest active frontier (rows diffused in one iteration, or
         peak queue length for push) seen during the run; 0 when the
-        engine does not track it (the reference kernels, block paths).
+        engine does not track it (the reference kernels).
     """
 
     q: np.ndarray

@@ -91,12 +91,7 @@ class MethodEvaluation:
 
     @property
     def throughput_seeds_per_s(self) -> float:
-        """Answered seed queries per second of online time (Fig. 7 axis).
-
-        This is where batching shows up: batched evaluation divides each
-        block's wall time evenly over its seeds, so the throughput
-        reflects the shared-mat-mat speedup.
-        """
+        """Answered seed queries per second of online time (Fig. 7 axis)."""
         total = self.total_online_seconds
         return len(self.online_seconds) / total if total > 0.0 else 0.0
 
@@ -131,21 +126,14 @@ def evaluate_method(
     method: LocalClusteringMethod | str,
     seeds: np.ndarray,
     compute_quality: bool = False,
-    batch_size: int | None = None,
 ) -> MethodEvaluation:
     """Fit ``method`` on ``graph`` and evaluate it over ``seeds``.
 
     ``compute_quality`` additionally records conductance and WCSS
-    (Table VII); precision/recall are always recorded.  ``batch_size``
-    answers seeds in blocks of that width through the method's
-    ``cluster_batch`` (LACA's block diffusion path); each block's wall
-    time is split evenly over its seeds so per-seed statistics stay
-    comparable with the sequential protocol.
+    (Table VII); precision/recall are always recorded.
     """
     if isinstance(method, str):
         method = make_method(method)
-    if batch_size is not None and batch_size < 1:
-        raise ValueError(f"batch_size must be positive, got {batch_size}")
     start = time.perf_counter()
     method.fit(graph)
     preprocessing = time.perf_counter() - start
@@ -157,33 +145,17 @@ def evaluate_method(
     evaluation = MethodEvaluation(
         method=method.name, dataset=graph.name, preprocessing_seconds=preprocessing
     )
-    seeds = [int(seed) for seed in seeds]
-    truths = {seed: graph.ground_truth_cluster(seed) for seed in seeds}
-
-    def _record(seed: int, predicted: np.ndarray, seconds: float) -> None:
-        truth = truths[seed]
-        evaluation.online_seconds.append(seconds)
+    for seed in map(int, seeds):
+        truth = graph.ground_truth_cluster(seed)
+        t0 = time.perf_counter()
+        predicted = method.cluster(seed, truth.shape[0])
+        evaluation.online_seconds.append(time.perf_counter() - t0)
         evaluation.precisions.append(precision(predicted, truth))
         evaluation.recalls.append(recall(predicted, truth))
         if compute_quality:
             evaluation.conductances.append(conductance(graph, predicted))
             if graph.attributes is not None:
                 evaluation.wcss_values.append(wcss(graph, predicted))
-
-    if batch_size is None or batch_size == 1:
-        for seed in seeds:
-            t0 = time.perf_counter()
-            predicted = method.cluster(seed, truths[seed].shape[0])
-            _record(seed, predicted, time.perf_counter() - t0)
-        return evaluation
-    for lo in range(0, len(seeds), batch_size):
-        chunk = seeds[lo : lo + batch_size]
-        sizes = [truths[seed].shape[0] for seed in chunk]
-        t0 = time.perf_counter()
-        clusters = method.cluster_batch(chunk, sizes)
-        per_seed = (time.perf_counter() - t0) / len(chunk)
-        for seed, predicted in zip(chunk, clusters):
-            _record(seed, predicted, per_seed)
     return evaluation
 
 

@@ -70,15 +70,25 @@ class TestBaseInterface:
         assert method.category == "ours"
 
     def test_score_vector_batch_matches_sequential(self, small_sbm):
-        # Default loop path (PR-Nibble) and the LACA block override both
-        # answer element b for seeds[b].
-        atol = {"PR-Nibble": 0.0, "LACA (C)": 1e-12}
-        for name, tolerance in atol.items():
+        # Element b of the default loop answers seeds[b], bitwise.
+        for name in ("PR-Nibble", "LACA (C)"):
             method = make_method(name).fit(small_sbm)
             seeds = [0, 7, 33]
             vectors = method.score_vector_batch(seeds)
             assert len(vectors) == len(seeds)
             for seed, vector in zip(seeds, vectors):
-                np.testing.assert_allclose(
-                    vector, method.score_vector(seed), rtol=0, atol=tolerance
-                )
+                np.testing.assert_array_equal(vector, method.score_vector(seed))
+
+    @pytest.mark.parametrize("name", method_names())
+    def test_cluster_batch_matches_per_seed_cluster(self, small_sbm, name):
+        """The default many-seed loops (what CLI ``--batch`` calls) answer
+        element b for seeds[b], bitwise, duplicates included."""
+        method = make_method(name).fit(small_sbm)
+        seeds, sizes = [0, 7, 33, 7], [10, 5, 12, 5]
+        clusters = method.cluster_batch(seeds, sizes)
+        assert len(clusters) == len(seeds)
+        for seed, size, cluster in zip(seeds, sizes, clusters):
+            np.testing.assert_array_equal(cluster, method.cluster(seed, size))
+        vectors = method.score_vector_batch(seeds)
+        for seed, vector in zip(seeds, vectors):
+            np.testing.assert_array_equal(vector, method.score_vector(seed))

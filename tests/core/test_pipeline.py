@@ -3,9 +3,22 @@
 import numpy as np
 import pytest
 
+from repro.attributes.tnam import TNAM
 from repro.core.config import LacaConfig
 from repro.core.pipeline import LACA
 from repro.eval.metrics import precision
+from repro.graphs.datasets import dataset_names, load_dataset
+from repro.graphs.graph import AttributedGraph
+
+ENGINES = ["greedy", "nongreedy", "adaptive", "push"]
+
+#: Graph/config variants the many-seed entry points must agree on:
+#: attributed with SNAS, the w/o-SNAS ablation, and a non-attributed graph.
+VARIANTS = {
+    "snas": ("small_sbm", {}),
+    "no-snas": ("small_sbm", {"use_snas": False}),
+    "plain": ("plain_graph", {}),
+}
 
 
 class TestLifecycle:
@@ -119,11 +132,94 @@ class TestBatchAPI:
             truth = small_sbm.ground_truth_cluster(seed)
             assert cluster.shape[0] == truth.shape[0]
 
-    def test_cluster_many_matches_single_queries(self, small_sbm):
+    @pytest.fixture(params=list(VARIANTS))
+    def variant(self, request):
+        fixture, overrides = VARIANTS[request.param]
+        return request.getfixturevalue(fixture), overrides
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_cluster_many_matches_single_queries(self, variant, engine):
+        graph, overrides = variant
+        model = LACA(metric="cosine", k=8, diffusion=engine, **overrides).fit(graph)
+        seeds = [2, 4, 33, 4]  # the duplicate is answered once, identically
+        batch = model.cluster_many(seeds, size=10)
+        assert sorted(batch) == [2, 4, 33]
+        for seed in seeds:
+            assert np.array_equal(batch[seed], model.cluster(seed, 10))
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_scores_batch_matches_single_queries(self, variant, engine):
+        graph, overrides = variant
+        model = LACA(metric="cosine", k=8, diffusion=engine, **overrides).fit(graph)
+        seeds = [2, 4, 33, 4]
+        results = model.scores_batch(seeds)
+        assert [result.seed for result in results] == seeds
+        for seed, result in zip(seeds, results):
+            single = model.scores(seed)
+            assert np.array_equal(result.scores, single.scores)
+            assert np.array_equal(result.scores_support, single.scores_support)
+        # Results are fresh arrays, not views into one shared workspace.
+        assert results[1].scores is not results[3].scores
+        assert np.array_equal(results[1].scores, results[3].scores)
+
+    def test_clusters_equal_sequential_cluster_many(self, medium_sbm):
+        """Ground-truth-sized ``cluster_many`` == per-seed ``cluster``."""
+        model = LACA(metric="cosine", k=16, diffusion="greedy").fit(medium_sbm)
+        rng = np.random.default_rng(3)
+        seeds = [int(s) for s in rng.choice(medium_sbm.n, size=12, replace=False)]
+        clusters = model.cluster_many(seeds)
+        assert sorted(clusters) == sorted(seeds)
+        for seed in seeds:
+            size = medium_sbm.ground_truth_cluster(seed).shape[0]
+            np.testing.assert_array_equal(clusters[seed], model.cluster(seed, size))
+
+    @pytest.mark.parametrize("dataset", dataset_names())
+    def test_registered_datasets_identical_clusters(self, dataset):
+        """Both many-seed entry points == per-seed ``cluster`` on every
+        registered dataset, at each seed's ground-truth size."""
+        graph = load_dataset(dataset, scale=0.05)
+        model = LACA(metric="cosine", k=8, diffusion="greedy").fit(graph)
+        rng = np.random.default_rng(0)
+        seeds = [int(s) for s in rng.choice(graph.n, size=4, replace=False)]
+        clusters = model.cluster_many(seeds)
+        for seed, result in zip(seeds, model.scores_batch(seeds)):
+            size = graph.ground_truth_cluster(seed).shape[0]
+            single = model.cluster(seed, size)
+            np.testing.assert_array_equal(result.cluster(size), single)
+            np.testing.assert_array_equal(clusters[seed], single)
+
+    @pytest.mark.parametrize("call", ["cluster_many", "scores_batch"])
+    def test_many_seed_calls_require_fit(self, call):
+        with pytest.raises(RuntimeError, match="fit"):
+            getattr(LACA(), call)([0, 1])
+
+    def test_out_of_range_seed(self, small_sbm):
         model = LACA(metric="cosine", k=8).fit(small_sbm)
-        batch = model.cluster_many([2, 4], size=10)
-        assert np.array_equal(batch[2], model.cluster(2, 10))
-        assert np.array_equal(batch[4], model.cluster(4, 10))
+        with pytest.raises(IndexError, match="out of range"):
+            model.scores_batch([0, small_sbm.n])
+        with pytest.raises(IndexError, match="out of range"):
+            model.cluster_many([0, small_sbm.n], size=5)
+
+    def test_zero_snas_mass_seed(self):
+        """A seed whose whole RWR support has zero TNAM rows gets ψ = 0,
+        hence φ′ = 0 (Eq. 13): Step 3 is skipped and every score is zero,
+        while a live seed on the same model is unaffected."""
+        edges = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]
+        graph = AttributedGraph.from_edges(
+            6, edges, attributes=np.ones((6, 2)),
+            communities=np.array([0, 0, 0, 1, 1, 1]), name="triangles",
+        )
+        model = LACA(metric="cosine", k=2, epsilon=1e-3).fit(graph)
+        z = np.ones((6, 2))
+        z[[0, 1, 2]] = 0.0
+        model.tnam = TNAM(z=z, metric="cosine", k=2)
+        dead, live = model.scores_batch([0, 4])
+        assert dead.scores.sum() == 0.0 and dead.support_size == 0
+        assert live.scores.sum() > 0.0
+        clusters = model.cluster_many([0, 4], size=3)
+        assert 0 in clusters[0]
+        for seed in (0, 4):
+            assert np.array_equal(clusters[seed], model.cluster(seed, 3))
 
 
 class TestFitState:

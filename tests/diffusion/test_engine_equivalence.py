@@ -1,11 +1,11 @@
 """Cross-engine equivalence suite over graphs of varying density.
 
-All diffusion engines — greedy, non-greedy, push, adaptive, and the
-block engines — answer the same problem under the same threshold, so on
-any input they must (a) terminate with every residual below
-``ε·d(v_i)`` (the Eq. 15 stopping rule), and (b) agree with each other
-on ``q`` within the Eq. (14) additive bound: each engine's output lies
-in ``[exact − ε·d, exact]``, hence any two engines differ by at most
+All diffusion engines — greedy, non-greedy, push and adaptive — answer
+the same problem under the same threshold, so on any input they must
+(a) terminate with every residual below ``ε·d(v_i)`` (the Eq. 15
+stopping rule), and (b) agree with each other on ``q`` within the
+Eq. (14) additive bound: each engine's output lies in
+``[exact − ε·d, exact]``, hence any two engines differ by at most
 ``ε·d(v_t)`` per node.
 """
 
@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from repro.diffusion.adaptive import adaptive_diffuse
-from repro.diffusion.batch import batch_diffuse
 from repro.diffusion.greedy import greedy_diffuse
 from repro.diffusion.nongreedy import nongreedy_diffuse
 from repro.diffusion.push import push_diffuse
@@ -39,16 +38,9 @@ def _graph(avg_degree, seed):
 
 
 def _run_all(graph, f, alpha, epsilon):
-    results = {
+    return {
         name: engine(graph, f, alpha, epsilon) for name, engine in ENGINES.items()
     }
-    # The block engines answer the same query through the batched path.
-    for engine in ("greedy", "nongreedy", "adaptive"):
-        block = batch_diffuse(
-            graph, f[:, None], alpha=alpha, epsilon=epsilon, engine=engine
-        )
-        results[f"batch-{engine}"] = block.column(0)
-    return results
 
 
 @pytest.mark.parametrize("avg_degree", DENSITIES)

@@ -214,6 +214,33 @@ class TestZeroAllocationHotPath:
             f"answer_block allocated {len(big_blocks)} length-n-scale block(s)"
         )
 
+    def test_cluster_many_allocates_no_length_n_array_per_seed(self, big_model):
+        """``cluster_many`` is a loop over one workspace: past that
+        workspace's own buffers, 16 local queries raise the traced peak
+        by less than half a length-``n`` float array (an ``n × B`` block
+        would add ``8·n·B`` bytes per block-sized buffer)."""
+        model = big_model
+        n = model.graph.n
+        seeds = list(range(20, 36))
+        model.cluster_many(seeds[:2], size=8)  # warm: caches and pools settled
+        tracemalloc.start()
+        try:
+            model.make_workspace()
+            workspace_bytes = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        tracemalloc.start()
+        try:
+            clusters = model.cluster_many(seeds, size=8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sorted(clusters) == seeds
+        assert peak - workspace_bytes < n * 8 // 2, (
+            f"cluster_many over {len(seeds)} seeds peaked "
+            f"{peak - workspace_bytes} bytes above one workspace (n={n})"
+        )
+
 
 class TestSortedUnion:
     def test_matches_union1d(self, rng):

@@ -98,45 +98,6 @@ class TestThroughput:
         assert row["throughput_seeds_per_s"] > 0.0
 
 
-class TestBatchedEvaluation:
-    def test_batched_laca_matches_sequential_metrics(self, small_sbm):
-        seeds = sample_seeds(small_sbm, 8)
-        from repro.baselines.registry import _LacaAdapter
-
-        method = _LacaAdapter(metric="cosine", diffusion="greedy")
-        sequential = evaluate_method(small_sbm, method, seeds)
-        batched = evaluate_method(small_sbm, method, seeds, batch_size=4)
-        assert batched.precisions == sequential.precisions
-        assert batched.recalls == sequential.recalls
-        assert len(batched.online_seconds) == len(seeds)
-        assert batched.throughput_seeds_per_s > 0.0
-
-    def test_batched_works_for_loop_methods(self, small_sbm):
-        """Methods without a native batch path use the default loop."""
-        seeds = sample_seeds(small_sbm, 4)
-        sequential = evaluate_method(small_sbm, "PR-Nibble", seeds)
-        batched = evaluate_method(small_sbm, "PR-Nibble", seeds, batch_size=2)
-        assert batched.precisions == sequential.precisions
-
-    def test_batch_size_one_is_sequential(self, small_sbm):
-        seeds = sample_seeds(small_sbm, 3)
-        evaluation = evaluate_method(small_sbm, "PR-Nibble", seeds, batch_size=1)
-        assert len(evaluation.precisions) == 3
-
-    def test_invalid_batch_size(self, small_sbm):
-        seeds = sample_seeds(small_sbm, 2)
-        with pytest.raises(ValueError, match="batch_size"):
-            evaluate_method(small_sbm, "PR-Nibble", seeds, batch_size=0)
-
-    def test_batched_quality_metrics(self, small_sbm):
-        seeds = sample_seeds(small_sbm, 4)
-        evaluation = evaluate_method(
-            small_sbm, "LACA (C)", seeds, compute_quality=True, batch_size=2
-        )
-        assert len(evaluation.conductances) == 4
-        assert len(evaluation.wcss_values) == 4
-
-
 class TestEvaluateMany:
     def test_multiple_methods(self, small_sbm):
         seeds = sample_seeds(small_sbm, 3)

@@ -7,6 +7,8 @@ path (kill → supervise → respawn → idempotent block retry) must be
 invisible in the answers, only in the stats.
 """
 
+import time
+
 import numpy as np
 import pytest
 
@@ -34,6 +36,15 @@ def scenario():
     return generate_dynamic_sbm(config, seed=11)
 
 
+def _wait(predicate, timeout=30.0, interval=0.02):
+    deadline = time.perf_counter() + timeout
+    while time.perf_counter() < deadline:
+        if predicate():
+            return True
+        time.sleep(interval)
+    return predicate()
+
+
 def _run(scenario, fault_plan=None):
     # Fresh fit per run: apply_update refreshes the model in place.
     model = LACA(LacaConfig(k=8)).fit(scenario.base)
@@ -57,6 +68,11 @@ def _run(scenario, fault_plan=None):
                 drain_before_update=True,
             ),
         )
+        # The surviving worker can drain the trace before the supervisor's
+        # backoff elapses; let the pool finish healing before reading stats.
+        assert _wait(
+            lambda: service.stats()["workers_alive"] == service.workers
+        ), "a killed worker was not respawned"
         stats = service.stats()
     finally:
         service.close(timeout=60)

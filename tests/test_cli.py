@@ -1,10 +1,17 @@
 """Tests for the package CLI and the experiments CLI."""
 
+import glob
 import io
 import json
+import os
+import signal
+import subprocess
+import sys
+import threading
 
 import pytest
 
+import repro
 from repro.cli import build_parser, main as cli_main
 from repro.experiments.__main__ import main as experiments_main
 from repro.graphs.io import save_graph
@@ -397,6 +404,46 @@ class TestServeCLI:
         assert "laca_touched_volume_count 2" in metrics
         assert scraped["stats"]["requests"] == 2
         assert "p50_queue_wait_s" in scraped["stats"]
+
+    @pytest.mark.skipif(
+        not os.path.isdir("/dev/shm"), reason="needs POSIX shared memory"
+    )
+    def test_serve_pool_exits_cleanly_on_sigterm(self, small_sbm, tmp_path):
+        """SIGTERM is a normal exit for serve: the pool closes, the exit
+        status is 0, and no shared-memory segment outlives the process."""
+        graph_path = save_graph(small_sbm, tmp_path / "graph")
+        queries = tmp_path / "queries.txt"
+        queries.write_text("0 10\n7 15\n")
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        before = set(glob.glob("/dev/shm/psm_*"))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--graph", str(graph_path),
+             "--queries", str(queries), "--workers", "2", "--linger-s", "120"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            env=env, start_new_session=True,
+        )
+        # Bounds the blocking reads below: a hung serve gets its whole
+        # process group killed, which closes the pipes.
+        watchdog = threading.Timer(90.0, os.killpg, (proc.pid, signal.SIGKILL))
+        watchdog.start()
+        try:
+            answers = [json.loads(proc.stdout.readline()) for _ in range(2)]
+            published = set(glob.glob("/dev/shm/psm_*")) - before
+            proc.send_signal(signal.SIGTERM)
+            _, stderr = proc.communicate(timeout=60)
+        finally:
+            watchdog.cancel()
+            try:  # reaps workers a dead serve may have orphaned, too
+                os.killpg(proc.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            if proc.returncode is None:
+                proc.communicate()
+        assert [answer["seed"] for answer in answers] == [0, 7]
+        assert proc.returncode == 0, stderr
+        assert published, "the pool published no shared memory"
+        assert not set(glob.glob("/dev/shm/psm_*")) - before
 
 
 class TestExperimentsCLI:
