@@ -1,7 +1,7 @@
 """Multi-process serving: a worker pool over one shared-memory graph.
 
-:class:`~repro.serving.service.ClusterService` answers every block on
-its one dispatcher thread — one GIL, one process.
+:class:`~repro.serving.service.ClusterService` answers every block in
+one process — one GIL, shared by its engine threads.
 :class:`PoolClusterService` keeps the exact same front-end (``submit`` /
 ``cluster`` / ``apply_update`` / ``stats``) and fans the gathered blocks
 out to ``workers`` OS processes instead:
@@ -41,8 +41,9 @@ block *is* the answer, not an approximation of it.  Three mechanisms:
 - **In-process fallback** — with ``fallback_inprocess=True``, losing
   *every* worker degrades the pool to answering blocks on the
   dispatcher thread (the plain :class:`ClusterService` path, same
-  bitwise answers) instead of failing the service; the pool re-engages
-  automatically once a respawn lands.
+  bitwise answers, never split across engine threads, so a respawn
+  never forks beside them) instead of failing the service; the pool
+  re-engages automatically once a respawn lands.
 
 Epoch advances reuse the in-process marker mechanism and add a barrier:
 :meth:`_propagate_refresh` publishes the refreshed snapshot, enqueues a
@@ -485,6 +486,12 @@ class PoolClusterService(ClusterService):
     def _release_admission(self, _future) -> None:
         with self._pool_lock:
             self._pending -= 1
+
+    def _engine_width(self, block_size: int) -> int:
+        """One thread: blocks go to worker processes, and the in-process
+        fallback must not leave engine threads alive in a head that
+        forks respawned workers."""
+        return 1
 
     @property
     def pending(self) -> int:

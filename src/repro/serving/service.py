@@ -11,14 +11,27 @@ of IPC — not of arithmetic, so every answer is bitwise identical to
 :meth:`LACA.cluster` whatever it was batched with.  Answers are
 remembered in an epoch-aware LRU result cache consulted before
 enqueueing.
+
+Algo 4's online stage is independent per seed: it reads the immutable
+snapshot and writes only its own workspace.  So the dispatcher splits a
+block of two or more requests into near-equal contiguous shares, one per
+usable core: it answers the first share itself while engine threads,
+each share slot with its own workspace, answer the rest.  numpy and
+scipy release the interpreter lock in the length-``n`` passes and sparse
+kernels that dominate a large query, so the shares really overlap.  The
+dispatcher joins every share before it resolves the block in submission
+order, so update markers and :meth:`ClusterService.close` see one block
+at a time exactly as before.  The pool answers in forked worker
+processes and keeps every block on one thread.
 """
 
 from __future__ import annotations
 
+import os
 import queue
 import threading
 import time
-from concurrent.futures import Future
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 from concurrent.futures import TimeoutError as _FutureTimeout
 from dataclasses import dataclass, field
 
@@ -27,7 +40,7 @@ import numpy as np
 from ..core.laca import top_k_cluster
 from ..core.pipeline import LACA
 from ..diffusion.base import begin_kernel_tally, end_kernel_tally
-from ..diffusion.workspace import sorted_union
+from ..diffusion.workspace import DiffusionWorkspace, sorted_union
 from ..graphs.store import GraphDelta, GraphStore
 from ..obs.tracing import Span, TraceLog
 from .cache import ResultCache, config_digest, query_key
@@ -118,6 +131,14 @@ class _Update:
     epoch: int
     touched: np.ndarray | None
     future: Future = field(default_factory=Future)
+
+
+def _usable_cores() -> int:
+    """CPUs this process may run on (its affinity mask where the OS has one)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
 
 
 def _footprint(result, n: int) -> np.ndarray:
@@ -284,6 +305,12 @@ class ClusterService:
         # buffers so steady-state local queries allocate nothing of
         # length n (PR 3's zero-allocation hot path).
         self._workspace = model.make_workspace()
+        # Also dispatcher-owned, both made on the first block that splits:
+        # the engine threads and one workspace per helper share slot.
+        # Shares of one block take distinct slots and a block is joined
+        # before the next starts, so no workspace is ever used twice at once.
+        self._engines: ThreadPoolExecutor | None = None
+        self._share_workspaces: dict[int, DiffusionWorkspace] = {}
         self._queue: queue.SimpleQueue = queue.SimpleQueue()
         self._closed = False
         self._close_lock = threading.Lock()
@@ -590,27 +617,35 @@ class ClusterService:
         therefore guarded — on an unexpected escape the service fails
         closed, the victim's future and everything queued behind it are
         failed with the cause, and the loop *continues* so the shutdown
-        sentinel is still honored.
+        sentinel is still honored.  The engine threads stop as the loop
+        exits, so once :meth:`close` has joined the dispatcher none is
+        left running.
         """
-        while True:
-            first = self._queue.get()
-            if first is _SHUTDOWN:
-                return
-            saw_shutdown = False
-            try:
-                if isinstance(first, _Update):
-                    self._refresh(first)
-                    continue
-                block, saw_shutdown, pending_update = self._gather_block(first)
-                self._answer(block)
-                if pending_update is not None:
-                    self._refresh(pending_update)
-            except BaseException as exc:  # noqa: BLE001 — liveness guard
-                self._dispatcher_crashed(exc, first)
-            if saw_shutdown:
-                # The sentinel was consumed while gathering; honor it
-                # even if answering the block crashed.
-                return
+        try:
+            while True:
+                first = self._queue.get()
+                if first is _SHUTDOWN:
+                    return
+                saw_shutdown = False
+                try:
+                    if isinstance(first, _Update):
+                        self._refresh(first)
+                        continue
+                    block, saw_shutdown, pending_update = self._gather_block(
+                        first
+                    )
+                    self._answer(block)
+                    if pending_update is not None:
+                        self._refresh(pending_update)
+                except BaseException as exc:  # noqa: BLE001 — liveness guard
+                    self._dispatcher_crashed(exc, first)
+                if saw_shutdown:
+                    # The sentinel was consumed while gathering; honor it
+                    # even if answering the block crashed.
+                    return
+        finally:
+            if self._engines is not None:
+                self._engines.shutdown(wait=True)
 
     def _dispatcher_crashed(
         self, exc: BaseException, first: "_Request | _Update"
@@ -689,6 +724,10 @@ class ClusterService:
             self.model.refresh(self._store)
             head = self.model._require_fit()
             self._workspace = self.model.make_workspace()
+            self._share_workspaces = {
+                slot: self.model.make_workspace()
+                for slot in self._share_workspaces
+            }
             self._propagate_refresh(head)
             promoted = invalidated = 0
             # Epoch bump and cache reconciliation land under one hold of
@@ -737,7 +776,7 @@ class ClusterService:
         the new snapshot."""
 
     def _answer(self, block: list[_Request]) -> None:
-        """Answer the block in-process with :func:`answer_block`, then
+        """Answer the block in-process with :meth:`_answer_split`, then
         resolve its futures (also the pool's in-process fallback)."""
         if self._failed is not None:
             # A refresh marker ahead of these requests failed: the model
@@ -755,12 +794,9 @@ class ClusterService:
                 if request.span is not None:
                     request.span.mark("dispatched", start)
             try:
-                clusters, supports, engine_seconds = answer_block(
-                    self.model,
-                    self._workspace,
+                clusters, supports, engine_seconds = self._answer_split(
                     [request.seed for request in block],
                     [request.size for request in block],
-                    self.telemetry.engine_metrics,
                 )
             except Exception as exc:  # surface engine failures per-request
                 for request in block:
@@ -781,6 +817,67 @@ class ClusterService:
             for request in block:
                 _fail_future(request.future, error)
             raise
+
+    def _engine_width(self, block_size: int) -> int:
+        """Threads one block of ``block_size`` requests is answered on:
+        one per usable core, never more than the block has requests.
+        :class:`~repro.serving.pool.PoolClusterService` keeps its head on
+        one thread, so worker forks never run beside engine threads."""
+        return min(_usable_cores(), block_size)
+
+    def _answer_split(self, seeds, sizes):
+        """:func:`answer_block` over near-equal contiguous shares, the
+        first on the dispatcher and the rest on the engine threads.
+
+        Returns what :func:`answer_block` returns for the whole block,
+        in block order, with ``engine_seconds`` the block's wall time.
+        Every share is joined before anything is raised; the first
+        failing share's own exception (in block order) propagates.
+        """
+        model, metrics = self.model, self.telemetry.engine_metrics
+        width = self._engine_width(len(seeds))
+        if width < 2:
+            return answer_block(model, self._workspace, seeds, sizes, metrics)
+        start = time.perf_counter()
+        if self._engines is None:
+            self._engines = ThreadPoolExecutor(
+                max_workers=_usable_cores() - 1,
+                thread_name_prefix=f"cluster-engine-{self.name}",
+            )
+        bounds = [len(seeds) * share // width for share in range(width + 1)]
+        helpers = [
+            self._engines.submit(
+                self._answer_share, model, slot, seeds[lo:hi], sizes[lo:hi]
+            )
+            for slot, lo, hi in zip(range(1, width), bounds[1:], bounds[2:])
+        ]
+        try:
+            shares = [
+                answer_block(
+                    model,
+                    self._workspace,
+                    seeds[: bounds[1]],
+                    sizes[: bounds[1]],
+                    metrics,
+                )
+            ]
+        finally:
+            wait(helpers)
+        shares += [helper.result() for helper in helpers]
+        clusters = [cluster for share in shares for cluster in share[0]]
+        supports = [support for share in shares for support in share[1]]
+        return clusters, supports, time.perf_counter() - start
+
+    def _answer_share(self, model, slot, seeds, sizes):
+        """One helper share, run on an engine thread with slot ``slot``'s
+        workspace (made here, on first use, so a model that cannot make
+        one fails only this share)."""
+        workspace = self._share_workspaces.get(slot)
+        if workspace is None:
+            workspace = self._share_workspaces[slot] = model.make_workspace()
+        return answer_block(
+            model, workspace, seeds, sizes, self.telemetry.engine_metrics
+        )
 
     def _resolve(
         self,

@@ -7,13 +7,16 @@ surface keeps its pinned shape.
 """
 
 import json
+import time
 
 import pytest
 
 from repro.core.pipeline import LACA
-from repro.obs import TraceLog
+from repro.obs import MetricsRegistry, TraceLog
 from repro.serving import ClusterService, PoolClusterService
-from repro.serving.telemetry import ServiceTelemetry
+from repro.serving import service as service_module
+from repro.serving.service import answer_block
+from repro.serving.telemetry import ServiceTelemetry, make_engine_metrics
 
 #: Golden stats() keys: additions are fine (append here), but removing
 #: or renaming any of these breaks operator dashboards and the harness's
@@ -179,6 +182,56 @@ def test_block_observes_introspection_per_request(fitted_model, pool):
     assert stats["batches"] == 1 and stats["max_batch_occupancy"] == 4
     assert snap["laca_frontier_peak"]["count"] == 4
     assert snap["laca_touched_nodes"]["count"] == 4
+
+
+def test_split_block_records_what_one_sequential_block_records(
+    fitted_model, tmp_path, monkeypatch
+):
+    """A block split across two engine threads books the same engine
+    introspection as one sequential :func:`answer_block` over its seeds
+    (the helper's thread-local kernel tally included), and every span
+    carries the whole block: its length and its wall time."""
+    monkeypatch.setattr(service_module, "_usable_cores", lambda: 2)
+    seeds, size, nap = [0, 13, 47, 88], 12, 0.1
+    reference = make_engine_metrics(MetricsRegistry())
+    answer_block(
+        fitted_model, fitted_model.make_workspace(), seeds, [size] * 4,
+        reference,
+    )
+    model = LACA().fit(fitted_model.graph)
+    original = model.scores
+
+    def slow_scores(seed, workspace=None):
+        time.sleep(nap)  # two per share: wall ~2 naps, summed ~4
+        return original(seed, workspace=workspace)
+
+    model.scores = slow_scores
+    trace_path = tmp_path / "split-trace.jsonl"
+    with TraceLog(trace_path) as trace_log:
+        with ClusterService(
+            model, max_batch=4, max_wait_s=5.0, cache_size=0,
+            trace_log=trace_log,
+        ) as service:
+            for future in service.submit_many(seeds, size):
+                future.result(timeout=60.0)
+            stats = service.stats()
+            served = service.telemetry.engine_metrics
+
+    for family in (
+        "kernel_selections", "query_iterations", "touched_nodes",
+        "touched_volume", "frontier_peak",
+    ):
+        assert (
+            getattr(served, family).sample_items()
+            == getattr(reference, family).sample_items()
+        ), family
+    events = [json.loads(line) for line in trace_path.read_text().splitlines()]
+    requests = [event for event in events if event["event"] == "request"]
+    assert len(requests) == 4
+    assert {event["batch_size"] for event in requests} == {4}
+    (engine_s,) = {event["engine_s"] for event in requests}
+    assert 2 * nap <= engine_s < 3.5 * nap
+    assert stats["engine_seconds"] == pytest.approx(engine_s, abs=1e-5)
 
 
 class TestPoolObservability:

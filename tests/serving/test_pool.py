@@ -21,6 +21,8 @@ from repro.serving import (
     PoolClusterService,
     PoolSaturated,
 )
+from repro.serving import service as service_module
+from repro.testing import FaultPlan, FaultRule
 
 
 def _model(graph, **overrides):
@@ -304,6 +306,47 @@ class TestPoolLifecycle:
             assert service.stats()["workers_alive"] == 1
         finally:
             service.close(timeout=30)
+
+    @pytest.mark.parametrize("fallback", [False, True], ids=["workers", "fallback"])
+    def test_head_never_starts_engine_threads(
+        self, small_sbm, monkeypatch, fallback
+    ):
+        """Even where the in-process service would split a block across
+        engine threads, the pool head answers on its dispatcher alone —
+        through its workers and through the in-process fallback — so
+        worker forks and respawns never run beside helper threads."""
+        monkeypatch.setattr(service_module, "_usable_cores", lambda: 2)
+        model = _model(small_sbm)
+        seeds = [0, 7, 33, 60]
+        expected = [model.cluster(seed, 12) for seed in seeds]
+        extra = {}
+        if fallback:
+            extra = dict(
+                fault_plan=FaultPlan(
+                    [FaultRule(site="worker.block", action="exit", times=0)]
+                ),
+                restart_budget=0,
+                max_retries=4,
+                fallback_inprocess=True,
+            )
+        service = PoolClusterService(
+            model, workers=1, max_batch=4, max_wait_s=5.0, cache_size=0,
+            **extra,
+        )
+        try:
+            futures = service.submit_many(seeds, 12)
+            for future, want in zip(futures, expected):
+                np.testing.assert_array_equal(future.result(timeout=60), want)
+            stats = service.stats()
+            assert stats["max_batch_occupancy"] == len(seeds)
+            assert stats["fallback_active"] is fallback
+            assert not [
+                thread.name
+                for thread in threading.enumerate()
+                if thread.name.startswith("cluster-engine-")
+            ]
+        finally:
+            service.close(timeout=60)
 
     def test_pool_fit_state_drops_maintenance_and_factor(self, small_sbm):
         model = _model(small_sbm)

@@ -16,6 +16,7 @@ from repro.core.config import LacaConfig
 from repro.core.pipeline import LACA
 from repro.graphs import GraphDelta
 from repro.serving import ClusterService, UpdateTimeout
+from repro.serving import service as service_module
 from repro.serving.service import _footprint
 
 ENGINES = ["greedy", "nongreedy", "adaptive"]
@@ -411,6 +412,147 @@ class TestFailureContainment:
                     thread.join()
             assert not problems
             assert service.stats()["epoch"] == 5
+
+
+@pytest.fixture
+def two_cores(monkeypatch):
+    """Split every block of two or more across two engine threads, as on
+    a two-core host, whatever the machine running the test has."""
+    monkeypatch.setattr(service_module, "_usable_cores", lambda: 2)
+
+
+def _engine_threads(name: str) -> list[threading.Thread]:
+    return [
+        thread
+        for thread in threading.enumerate()
+        if thread.name.startswith(f"cluster-engine-{name}")
+    ]
+
+
+def _wrap_scores(model, before):
+    """Call ``before(seed)`` on the answering thread ahead of each
+    ``model.scores``."""
+    original = model.scores
+
+    def scores(seed, workspace=None):
+        before(seed)
+        return original(seed, workspace=workspace)
+
+    model.scores = scores
+
+
+class TestBlockSplit:
+    """A block of two or more requests is split into contiguous shares,
+    the first answered by the dispatcher and the rest by engine threads;
+    the block is joined and resolved as one."""
+
+    def test_shares_run_on_two_threads_bitwise_in_order(
+        self, small_sbm, two_cores
+    ):
+        model = _model(small_sbm)
+        queries = [(0, 5), (7, 30), (33, 12), (60, 25), (91, 8), (0, 17)]
+        expected = [model.cluster(seed, size) for seed, size in queries]
+        threads: dict[int, int] = {}
+        _wrap_scores(
+            model,
+            lambda seed: threads.setdefault(seed, threading.get_ident()),
+        )
+        resolved: list[int] = []
+        with ClusterService(
+            model, max_batch=len(queries), max_wait_s=5.0, cache_size=0
+        ) as service:
+            futures = []
+            for index, (seed, size) in enumerate(queries):
+                future = service.submit(seed, size)
+                future.add_done_callback(
+                    lambda _f, index=index: resolved.append(index)
+                )
+                futures.append(future)
+            for future, want in zip(futures, expected):
+                np.testing.assert_array_equal(future.result(timeout=30), want)
+            stats = service.stats()
+        assert stats["batches"] == 1
+        assert stats["max_batch_occupancy"] == len(queries)
+        assert resolved == list(range(len(queries)))
+        # Share 0 (seeds 0, 7, 33) on the dispatcher, share 1 (60, 91)
+        # on an engine thread; neither is the submitting thread.
+        assert threads[0] == threads[7] == threads[33]
+        assert threads[60] == threads[91]
+        assert threads[0] != threads[60]
+        assert threading.get_ident() not in threads.values()
+
+    def test_helper_failure_fails_block_and_holds_marker(
+        self, small_sbm, two_cores
+    ):
+        model = _model(small_sbm)
+        started, release = threading.Event(), threading.Event()
+        failure = LookupError("helper share failed")
+
+        def helper_fails(seed):
+            if seed == 60:
+                started.set()
+                release.wait(30)
+                raise failure
+
+        _wrap_scores(model, helper_fails)
+        service = ClusterService(model, max_batch=4, max_wait_s=5.0)
+        try:
+            futures = service.submit_many([0, 7, 60, 91], 10)
+            assert started.wait(10)
+            # The marker queues behind the block and cannot land while
+            # the helper's share is still running.
+            with pytest.raises(UpdateTimeout) as excinfo:
+                service.apply_update(
+                    GraphDelta(add_edges=[(3, 77)]), timeout=0.2
+                )
+            pending = excinfo.value.pending
+            assert not pending.done()
+            assert not any(future.done() for future in futures)
+            release.set()
+            for future in futures:
+                assert future.exception(timeout=30) is failure
+            pending.result(timeout=30)
+            assert service.stats()["errors"] == 4
+        finally:
+            release.set()
+            assert service.close(timeout=10) is True
+
+    def test_close_stops_engine_threads(self, small_sbm, two_cores):
+        service = ClusterService(
+            _model(small_sbm), name="split-close", max_batch=2, max_wait_s=5.0
+        )
+        for future in service.submit_many([0, 7], 10):
+            future.result(timeout=30)
+        assert _engine_threads("split-close")
+        assert service.close(timeout=10) is True
+        assert not _engine_threads("split-close")
+
+    def test_close_timeout_then_close_stops_engine_threads(
+        self, small_sbm, two_cores
+    ):
+        model = _model(small_sbm)
+        started, release = threading.Event(), threading.Event()
+
+        def stall_helper(seed):
+            if seed == 7:
+                started.set()
+                release.wait(30)
+
+        _wrap_scores(model, stall_helper)
+        service = ClusterService(
+            model, name="split-wedged", max_batch=2, max_wait_s=5.0
+        )
+        try:
+            futures = service.submit_many([0, 7], 10)
+            assert started.wait(10)
+            assert service.close(timeout=0.1) is False
+            assert _engine_threads("split-wedged")
+        finally:
+            release.set()
+        for future in futures:
+            assert len(future.result(timeout=30)) == 10
+        assert service.close(timeout=10) is True
+        assert not _engine_threads("split-wedged")
 
 
 def _unique_footprint(result) -> np.ndarray:
