@@ -13,6 +13,8 @@ non-empty:
   registry across the IPC boundary;
 * per-stage latency histograms and the touched-volume histogram carry
   one sample per request;
+* ``/stats`` agrees with ``/metrics`` on the request, error, and batch
+  counts — both are views of one registry;
 * every JSON response line carries a trace id, and the trace log holds
   one span per request;
 * serve exits 0 on SIGTERM and leaves no ``/dev/shm/psm_*`` segment
@@ -106,6 +108,16 @@ def scrape(port: int, path: str) -> str:
         return response.read().decode()
 
 
+def samples(metrics: str, name: str) -> dict[str, float]:
+    """``{rendered labels: value}`` for every sample line of ``name``."""
+    found = {}
+    for line in metrics.splitlines():
+        match = re.match(rf"^{name}(\{{[^}}]*\}})? (\S+)$", line)
+        if match:
+            found[match.group(1) or ""] = float(match.group(2))
+    return found
+
+
 def main() -> int:
     tmp = Path(tempfile.mkdtemp(prefix="obs-smoke-"))
     queries = tmp / "queries.txt"
@@ -193,6 +205,22 @@ def main() -> int:
 
     if stats.get("requests") != N_QUERIES or "p50_queue_wait_s" not in stats:
         fail(f"/stats malformed: {json.dumps(stats)[:300]}")
+
+    requests = samples(metrics, "laca_requests_total")
+    scraped = {
+        "requests": sum(requests.values()),
+        "engine_served": requests.get('{path="engine"}', 0.0),
+        "cache_served": requests.get('{path="cache"}', 0.0),
+        "errors": sum(samples(metrics, "laca_errors_total").values()),
+        "batches": sum(samples(metrics, "laca_batches_total").values()),
+    }
+    disagree = {
+        key: (stats.get(key), value)
+        for key, value in scraped.items()
+        if stats.get(key) != value
+    }
+    if disagree:
+        fail(f"/stats disagrees with /metrics as (stats, metrics): {disagree}")
 
     spans = [
         json.loads(line)

@@ -5,8 +5,8 @@ Design constraints, in order:
 1. **O(1) state per metric.**  Histograms use *fixed log-spaced bucket
    bounds* chosen at creation, so a snapshot is a handful of integers no
    matter how many observations rode through — a long-lived service
-   never grows its metrics footprint (the same discipline the telemetry
-   layer already applies to its percentile windows).
+   never grows its metrics footprint; a :class:`WindowedHistogram`'s
+   raw-sample window is bounded too.
 2. **Mergeable across processes.**  Two histograms with identical bounds
    merge by adding bucket counts; counters merge by adding values.
    :meth:`MetricsRegistry.drain` snapshots-and-resets a registry into a
@@ -28,16 +28,19 @@ from __future__ import annotations
 
 import threading
 from bisect import bisect_left
+from collections import deque
 
 __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
+    "WindowedHistogram",
     "MetricsRegistry",
     "log_buckets",
     "LATENCY_BUCKETS",
     "VOLUME_BUCKETS",
     "COUNT_BUCKETS",
+    "WINDOW_SIZE",
 ]
 
 
@@ -68,6 +71,8 @@ LATENCY_BUCKETS = log_buckets(1e-6, 100.0, per_decade=3)
 VOLUME_BUCKETS = log_buckets(1.0, 1e9, per_decade=3)
 #: Small-count buckets (iterations, frontier sizes, batch occupancy).
 COUNT_BUCKETS = log_buckets(1.0, 1e6, per_decade=4)
+#: Most recent observations each :class:`WindowedHistogram` child keeps.
+WINDOW_SIZE = 4096
 
 
 def _check_labelnames(labelnames) -> tuple[str, ...]:
@@ -245,6 +250,22 @@ class _HistogramState:
         self.counts = [0] * n_buckets
         self.sum = 0.0
 
+    def add(self, index: int, value: float) -> None:
+        self.counts[index] += 1
+        self.sum += value
+
+
+class _WindowedState(_HistogramState):
+    __slots__ = ("window",)
+
+    def __init__(self, n_buckets: int) -> None:
+        super().__init__(n_buckets)
+        self.window: deque[float] = deque(maxlen=WINDOW_SIZE)
+
+    def add(self, index: int, value: float) -> None:
+        super().add(index, value)
+        self.window.append(value)
+
 
 class Histogram(_Metric):
     """Fixed log-spaced-bucket histogram: O(1) memory, mergeable.
@@ -281,8 +302,7 @@ class Histogram(_Metric):
             state = self._children.get(key)
             if state is None:
                 state = self._children[key] = self._new_state()
-            state.counts[index] += 1
-            state.sum += value
+            state.add(index, value)
 
     def observe(self, value: float) -> None:
         self._observe_child((), value)
@@ -318,10 +338,10 @@ class Histogram(_Metric):
         """Bucket-interpolated ``q``-quantile estimate (0.0 when empty).
 
         Exact only up to bucket resolution — the price of O(1) state.
-        The serving telemetry therefore reports *window-exact*
-        percentiles in ``stats()`` and leaves these estimates to the
-        Prometheus side, where the scraper computes them from buckets
-        anyway.
+        Where exact recent percentiles are needed (the serving
+        ``stats()``), a :class:`WindowedHistogram` keeps the raw
+        samples beside the buckets; Prometheus scrapers compute their
+        own estimates from the exported buckets anyway.
         """
         return self._quantile_child((), q)
 
@@ -347,6 +367,29 @@ class Histogram(_Metric):
                 return lo + (hi - lo) * min(max(fraction, 0.0), 1.0)
             cumulative += count
         return self.bounds[-1]
+
+
+class WindowedHistogram(Histogram):
+    """Histogram that also keeps each child's last :data:`WINDOW_SIZE`
+    observations, so exact recent percentiles need no second copy.
+
+    Exports, drains, and merges exactly like :class:`Histogram` — same
+    ``# TYPE`` line, same bucket payload.  The window never leaves the
+    process that observed it: a merged-in delta adds buckets only, and
+    a drain resets the window with the buckets.
+    """
+
+    def _new_state(self):
+        return _WindowedState(len(self.bounds) + 1)
+
+    def _window_child(self, key: tuple) -> list[float]:
+        with self._lock:
+            state = self._children.get(key)
+            return list(state.window) if state is not None else []
+
+    def window(self) -> list[float]:
+        """The most recent observations, oldest first."""
+        return self._window_child(())
 
 
 _METRIC_TYPES = {"counter": Counter, "gauge": Gauge, "histogram": Histogram}
@@ -409,6 +452,13 @@ class MetricsRegistry:
     ) -> Histogram:
         return self._get_or_create(
             Histogram, name, help, labelnames, bounds=bounds
+        )
+
+    def windowed_histogram(
+        self, name: str, help: str = "", bounds=LATENCY_BUCKETS, labelnames=()
+    ) -> WindowedHistogram:
+        return self._get_or_create(
+            WindowedHistogram, name, help, labelnames, bounds=bounds
         )
 
     def get(self, name: str) -> _Metric | None:

@@ -79,7 +79,13 @@ from ..core.pipeline import LACA
 from ..graphs.shm import attach_snapshot, publish_snapshot
 from ..graphs.store import GraphStore
 from ..obs.metrics import MetricsRegistry
-from .service import ClusterService, _fail_future, _Request, answer_block
+from .service import (
+    ClusterService,
+    _fail_future,
+    _Request,
+    _unresolved,
+    answer_block,
+)
 from .telemetry import make_engine_metrics
 
 __all__ = [
@@ -505,9 +511,7 @@ class PoolClusterService(ClusterService):
         if self._failed is not None:
             error = RuntimeError("service is failed: an update did not land")
             error.__cause__ = self._failed
-            for request in block:
-                self.telemetry.record_error("failed")
-                _fail_future(request.future, error)
+            self._fail_requests(block, error, "failed")
             return
         now = time.perf_counter()
         live: list[_Request] = []
@@ -569,9 +573,7 @@ class PoolClusterService(ClusterService):
         with self._close_lock:
             if self._failed is None:
                 self._failed = error
-        for request in live:
-            self.telemetry.record_error("worker")
-            _fail_future(request.future, error)
+        self._fail_requests(live, error, "worker")
 
     def _dispatch(self, live: list[_Request]) -> bool:
         """Hand ``live`` to the least-loaded live worker; False if none."""
@@ -651,21 +653,26 @@ class PoolClusterService(ClusterService):
                 "pool.result", kind=kind, worker_id=message[1]
             ):
                 continue  # injected message loss (a torn result pipe)
+            block = None
             try:
                 if kind == "reload-ack":
                     self._note_reload_ack(message)
                 elif kind == "result":
                     _, worker_id, block_id, payload, error = message
-                    self._resolve_block(worker_id, block_id, payload, error)
-            except BaseException as exc:  # noqa: BLE001 — keep collecting
-                if kind == "result":
-                    _, worker_id, block_id, _payload, _err = message
-                    entry = None
                     with self._pool_lock:
                         entry = self._inflight.pop(block_id, None)
+                        if entry is not None:
+                            self._outstanding[worker_id] -= 1
+                    # No entry: a late result for a block close() failed
+                    # or the reaper already retried.
                     if entry is not None:
-                        for request in entry[1]:
-                            _fail_future(request.future, exc)
+                        block = entry[1]
+                        self._resolve_block(worker_id, block, payload, error)
+            except BaseException as exc:  # noqa: BLE001 — keep collecting
+                # The block is out of the in-flight table, so nothing
+                # else will ever resolve what it left unanswered.
+                if block is not None:
+                    self._fail_requests(_unresolved(block), exc, "collector")
 
     def _note_reload_ack(self, message) -> None:
         _, worker_id, generation, error = message
@@ -678,18 +685,9 @@ class PoolClusterService(ClusterService):
             if not self._reload_pending:
                 self._reload_event.set()
 
-    def _resolve_block(self, worker_id, block_id, payload, error) -> None:
-        with self._pool_lock:
-            entry = self._inflight.pop(block_id, None)
-            if entry is not None:
-                self._outstanding[worker_id] -= 1
-        if entry is None:
-            return  # already failed by close()/retried by reap — late result
-        _, block = entry
+    def _resolve_block(self, worker_id, block, payload, error) -> None:
         if error is not None:
-            for request in block:
-                self.telemetry.record_error("engine")
-                _fail_future(request.future, error)
+            self._fail_requests(block, error, "engine")
             return
         clusters, supports, engine_seconds, metrics_delta = payload
         self.telemetry.merge_engine_delta(metrics_delta)
@@ -838,9 +836,7 @@ class PoolClusterService(ClusterService):
                 "service closed before this request could be retried"
             )
             error.__cause__ = cause
-            for request in requests:
-                self.telemetry.record_error("closed")
-                _fail_future(request.future, error)
+            self._fail_requests(requests, error, "closed")
 
     def _respawn_due(self) -> None:
         """Start respawns whose backoff has elapsed.
@@ -936,9 +932,7 @@ class PoolClusterService(ClusterService):
             if self._failed is None:
                 self._failed = error
         for requests in parked:
-            for request in requests:
-                self.telemetry.record_error("worker")
-                _fail_future(request.future, error)
+            self._fail_requests(requests, error, "worker")
 
     # ------------------------------------------------------------------
     # Epoch barrier: republish, reload every worker, then retire the old
@@ -1077,13 +1071,7 @@ class PoolClusterService(ClusterService):
             "service closed before this request was answered "
             "(its pool worker was terminated)"
         )
-        for _, requests in leftovers:
-            for request in requests:
-                self.telemetry.record_error("closed")
-                _fail_future(request.future, error)
-        for requests in parked:
-            for request in requests:
-                self.telemetry.record_error("closed")
-                _fail_future(request.future, error)
+        for requests in [entry[1] for entry in leftovers] + parked:
+            self._fail_requests(requests, error, "closed")
         self._shared.close()
         return clean

@@ -89,6 +89,15 @@ def _fail_future(future: Future, exc: BaseException) -> None:
             pass  # resolved in a race: the caller got *an* answer
 
 
+def _unresolved(requests: list["_Request"]) -> list["_Request"]:
+    """The requests whose future carries no answer (pending or cancelled)."""
+    return [
+        request
+        for request in requests
+        if request.future.cancelled() or not request.future.done()
+    ]
+
+
 @dataclass
 class _Request:
     """One pending cluster query and the future that will carry its answer."""
@@ -664,7 +673,10 @@ class ClusterService:
             "dispatcher crashed while serving; the service is failed"
         )
         error.__cause__ = exc
-        self.telemetry.record_error("dispatcher")
+        if isinstance(first, _Request) and not first.future.done():
+            # Crashed before its block was answered; a block's own
+            # requests were already failed and booked by ``_answer``.
+            self.telemetry.record_error("dispatcher")
         _fail_future(first.future, error)
         self._drain_queue(error)
 
@@ -784,9 +796,7 @@ class ClusterService:
             # rather than cache stale answers under fresh keys.
             error = RuntimeError("service is failed: an update did not land")
             error.__cause__ = self._failed
-            for request in block:
-                self.telemetry.record_error("failed")
-                _fail_future(request.future, error)
+            self._fail_requests(block, error, "failed")
             return
         try:
             start = time.perf_counter()
@@ -799,24 +809,31 @@ class ClusterService:
                     [request.size for request in block],
                 )
             except Exception as exc:  # surface engine failures per-request
-                for request in block:
-                    self.telemetry.record_error("engine")
-                    _fail_future(request.future, exc)
+                self._fail_requests(block, exc, "engine")
                 return
             self._resolve(block, clusters, supports, engine_seconds)
         except BaseException as exc:  # noqa: BLE001 — liveness guard
             # Something *outside* the engine call escaped (telemetry,
-            # cache insertion, a poisoned result object).  Resolve every
-            # future in the block before re-raising to the dispatch-loop
-            # guard — the gathered requests are no longer in the queue,
-            # so the loop's drain could never reach them.
+            # cache insertion, a poisoned result object).  Fail and book
+            # every request the block left unanswered before re-raising
+            # to the dispatch-loop guard — the gathered requests are no
+            # longer in the queue, so the loop's drain could never reach
+            # them.  (A crash after ``record_batch`` returned leaves
+            # those requests booked as engine-served too.)
             error = RuntimeError(
                 "dispatcher crashed while resolving this block"
             )
             error.__cause__ = exc
-            for request in block:
-                _fail_future(request.future, error)
+            self._fail_requests(_unresolved(block), error, "dispatcher")
             raise
+
+    def _fail_requests(
+        self, requests: list[_Request], exc: BaseException, kind: str
+    ) -> None:
+        """Book each request once as a ``kind`` error and fail its future."""
+        for request in requests:
+            self.telemetry.record_error(kind)
+            _fail_future(request.future, exc)
 
     def _engine_width(self, block_size: int) -> int:
         """Threads one block of ``block_size`` requests is answered on:

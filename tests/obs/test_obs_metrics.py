@@ -13,7 +13,9 @@ from repro.obs.metrics import (
     Counter,
     Gauge,
     Histogram,
+    WINDOW_SIZE,
     MetricsRegistry,
+    WindowedHistogram,
     log_buckets,
 )
 
@@ -118,6 +120,39 @@ class TestHistogram:
             Histogram("h", "help", bounds=(1.0, 1.0))
         with pytest.raises(ValueError, match="ascending"):
             Histogram("h", "help", bounds=())
+
+
+class TestWindowedHistogram:
+    def test_window_keeps_the_last_observations_per_child(self):
+        hist = WindowedHistogram("w", "", bounds=(1.0, 2.0), labelnames=("s",))
+        values = [float(i) for i in range(WINDOW_SIZE + 5)]
+        for value in values:
+            hist.labels("a").observe(value)
+        hist.labels("b").observe(0.5)
+        assert hist.labels("a").window() == values[5:]
+        assert hist.labels("b").window() == [0.5]
+        assert hist.labels("c").window() == []
+        # The buckets still count the whole lifetime.
+        assert hist.sample_items()[("a",)]["count"] == WINDOW_SIZE + 5
+
+    def test_exports_and_merges_like_a_histogram(self):
+        windowed, plain = MetricsRegistry(), MetricsRegistry()
+        windowed.windowed_histogram("h", "help", bounds=(1.0, 2.0))
+        plain.histogram("h", "help", bounds=(1.0, 2.0))
+        for registry in (windowed, plain):
+            for value in (0.5, 1.5, 3.0):
+                registry.get("h").observe(value)
+        assert windowed.to_prometheus_text() == plain.to_prometheus_text()
+        assert windowed.collect() == plain.collect()
+        # A merged-in delta adds buckets only; the window stays local.
+        windowed.merge(plain.drain())
+        assert windowed.get("h").summary()["count"] == 6
+        assert windowed.get("h").window() == [0.5, 1.5, 3.0]
+        # A plain histogram request finds the windowed family (merge
+        # relies on it); a windowed request for a plain one is refused.
+        assert windowed.histogram("h", bounds=(1.0, 2.0)) is windowed.get("h")
+        with pytest.raises(ValueError, match="already registered"):
+            plain.windowed_histogram("h", bounds=(1.0, 2.0))
 
 
 class TestRegistry:

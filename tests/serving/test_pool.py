@@ -307,6 +307,30 @@ class TestPoolLifecycle:
         finally:
             service.close(timeout=30)
 
+    def test_collector_crash_fails_and_books_block_futures(self, small_sbm):
+        """An exception while the collector resolves a worker's result
+        (here: poisoned telemetry) must fail every future of the block,
+        each booked once — the block is already out of the in-flight
+        table, so nothing else would ever resolve it."""
+        service = PoolClusterService(
+            _model(small_sbm), workers=1, max_wait_s=0.2, cache_size=0
+        )
+
+        def poisoned(*_args, **_kwargs):
+            raise ZeroDivisionError("telemetry exploded")
+
+        try:
+            service.telemetry.record_batch = poisoned
+            futures = [service.submit(seed, 10) for seed in range(4)]
+            for future in futures:
+                with pytest.raises(ZeroDivisionError):
+                    future.result(timeout=30)
+            stats = service.stats()
+            assert stats["errors_by_kind"] == {"collector": len(futures)}
+            assert stats["pending"] == 0
+        finally:
+            service.close(timeout=30)
+
     @pytest.mark.parametrize("fallback", [False, True], ids=["workers", "fallback"])
     def test_head_never_starts_engine_threads(
         self, small_sbm, monkeypatch, fallback

@@ -287,6 +287,12 @@ class TestFailureContainment:
                 future.result(timeout=10)
         with pytest.raises(RuntimeError, match="failed"):
             service.submit(3, 10)
+        # Each failed request is booked once (the block's first request
+        # is not counted again by the dispatch-loop guard).
+        stats = service.stats()
+        assert stats["errors"] == len(futures)
+        assert stats["errors_by_kind"] == {"dispatcher": len(futures)}
+        assert stats["engine_served"] == 0
         # The dispatcher survived the crash and still honors shutdown.
         assert service.close(timeout=10) is True
 

@@ -3,6 +3,7 @@
 import numpy as np
 
 from repro.eval.harness import latency_percentile
+from repro.obs.metrics import WINDOW_SIZE
 from repro.serving import ServiceTelemetry
 
 
@@ -37,15 +38,21 @@ class TestServiceTelemetry:
         assert stats["p95_latency_s"] == round(latency_percentile(samples, 95.0), 6)
 
     def test_latency_window_is_bounded(self):
-        telemetry = ServiceTelemetry(latency_window=4)
-        for value in (9.0, 9.0, 9.0, 0.1, 0.2, 0.3, 0.4):
+        telemetry = ServiceTelemetry()
+        recent = [0.1 + 1e-4 * i for i in range(WINDOW_SIZE)]
+        for value in [9.0, 9.0, 9.0] + recent:
             telemetry.record_latency(value)
         stats = telemetry.snapshot()
-        # Only the last 4 samples survive; the 9.0s outliers rolled off.
-        assert stats["p50_latency_s"] == round(
-            latency_percentile([0.1, 0.2, 0.3, 0.4], 50.0), 6
-        )
+        # Only the last WINDOW_SIZE samples survive; the 9.0s outliers
+        # pushed first rolled off (kept, they would shift the median).
+        assert telemetry.metrics.request_seconds.window() == recent
+        assert stats["p50_latency_s"] == round(latency_percentile(recent, 50.0), 6)
+        assert stats["p95_latency_s"] == round(latency_percentile(recent, 95.0), 6)
         assert stats["p95_latency_s"] < 1.0
+        # The exported histogram still counts every observation.
+        assert telemetry.metrics.request_seconds.summary()["count"] == (
+            WINDOW_SIZE + 3
+        )
 
     def test_cache_and_error_counters(self):
         telemetry = ServiceTelemetry()
@@ -57,6 +64,39 @@ class TestServiceTelemetry:
         assert stats["cache_served"] == 2
         assert stats["requests"] == 3
         assert stats["errors"] == 1
+
+    def test_worker_occupancy_keys_are_sorted_ints_and_counts_are_ints(self):
+        """The registry labels workers with strings and counts in floats;
+        stats() hands back int keys in numeric order ("10" sorts before
+        "2" as a string) and int counts (the serve CLI prints JSON)."""
+        telemetry = ServiceTelemetry()
+        telemetry.record_batch(3, engine_seconds=0.01, worker_id=10)
+        telemetry.record_batch(2, engine_seconds=0.01, worker_id=2)
+        telemetry.record_batch(1, engine_seconds=0.01, worker_id=2)
+        telemetry.record_error("engine")
+        stats = telemetry.snapshot()
+        assert list(stats["worker_occupancy"]) == [2, 10]
+        assert stats["worker_occupancy"] == {
+            2: {"batches": 2, "seeds": 3},
+            10: {"batches": 1, "seeds": 3},
+        }
+        counts = [
+            stats[key]
+            for key in (
+                "requests", "engine_served", "cache_served", "errors",
+                "batches", "max_batch_occupancy", "updates", "shed",
+                "deadline_misses", "worker_restarts", "block_retries",
+                "wal_records", "entries_invalidated", "entries_promoted",
+            )
+        ]
+        counts += list(stats["errors_by_kind"].values())
+        counts += [
+            value
+            for worker in stats["worker_occupancy"].values()
+            for value in worker.values()
+        ]
+        assert all(type(value) is int for value in counts)
+        assert stats["max_batch_occupancy"] == 3
 
 
 class TestLatencyPercentile:
