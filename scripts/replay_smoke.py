@@ -12,7 +12,11 @@ a perfect run:
   (the service actually follows the communities it is asked about);
 * the periodic verify pass — a from-scratch refit at the epoch head —
   matches the incrementally refreshed answers bitwise;
-* the pool closes cleanly with all workers alive.
+* the pool closes cleanly with all workers alive;
+* shared memory does not pile up: the number of live ``/dev/shm/psm_*``
+  segments after each epoch advance is no more than right after the
+  pool started (each advance retires what it replaced), and none
+  outlives ``close()``.
 
 Exits non-zero with a reason on any violation.  Used by CI; also handy
 manually::
@@ -22,6 +26,7 @@ manually::
 
 from __future__ import annotations
 
+import glob
 import sys
 
 from repro.core.config import LacaConfig
@@ -40,6 +45,11 @@ def fail(reason: str) -> None:
     sys.exit(1)
 
 
+def shm_segments() -> set[str]:
+    """Shared-memory segments this machine holds (the pool's are psm_*)."""
+    return set(glob.glob("/dev/shm/psm_*"))
+
+
 def main() -> int:
     scenario = generate_dynamic_sbm(
         DynamicSBMConfig(
@@ -56,10 +66,22 @@ def main() -> int:
     )
     model = LACA(LacaConfig(k=8)).fit(scenario.base)
     store = GraphStore(scenario.base, history=EPOCHS + 1)
+    shm_before = shm_segments()
     service = PoolClusterService(
         model, workers=WORKERS, store=store, max_batch=8,
         max_wait_s=0.002, cache_size=1024,
     )
+    # Live pool segments at start, then after every epoch advance (the
+    # update returns once the replaced generation was released).
+    live_per_epoch = [len(shm_segments() - shm_before)]
+    apply_update = service.apply_update
+
+    def counted_update(*args, **kwargs):
+        out = apply_update(*args, **kwargs)
+        live_per_epoch.append(len(shm_segments() - shm_before))
+        return out
+
+    service.apply_update = counted_update
     try:
         result = replay(
             service,
@@ -75,6 +97,7 @@ def main() -> int:
         stats = service.stats()
     finally:
         service.close(timeout=60)
+    leaked = sorted(shm_segments() - shm_before)
 
     summary = result.summary()
     if summary["queries"] != EPOCHS * QUERIES_PER_EPOCH:
@@ -93,12 +116,21 @@ def main() -> int:
         fail("verify-vs-refit pass did not confirm bitwise equality")
     if stats["workers_alive"] != WORKERS:
         fail(f"expected {WORKERS} live workers, got {stats['workers_alive']}")
+    if not live_per_epoch[0]:
+        fail("no shared-memory segment seen while serving: leak check is void")
+    if len(live_per_epoch) != EPOCHS + 1:
+        fail(f"expected {EPOCHS} epoch advances, saw {len(live_per_epoch) - 1}")
+    if max(live_per_epoch) > live_per_epoch[0]:
+        fail(f"live shared-memory segments grew with the epochs: {live_per_epoch}")
+    if leaked:
+        fail(f"{len(leaked)} shared-memory segment(s) outlived close(): {leaked}")
 
     print(
         f"REPLAY SMOKE OK: {summary['queries']} queries over "
         f"{summary['epochs']} epochs, recall "
         f"{summary['mean_tracking_recall']:.3f}, p50 "
-        f"{summary['query_p50_ms']:.2f} ms, verified bitwise"
+        f"{summary['query_p50_ms']:.2f} ms, verified bitwise, "
+        f"{live_per_epoch[0]} live segments per epoch, none leaked"
     )
     return 0
 

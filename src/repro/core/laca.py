@@ -103,7 +103,10 @@ def laca_scores(
     ``config.use_snas`` is True on an attributed graph; the
     ``use_snas=False`` ablation (and non-attributed graphs) replace the
     SNAS by the identity, for which Eq. (9) collapses to
-    ``φ_i = π′_i · d(vi)`` and no TNAM is needed.
+    ``φ_i = π′_i · d(vi)`` and no TNAM is needed.  The switch follows
+    the TNAM, not ``graph.attributes``: Step 2 reads only ``tnam.z``, so
+    a shared-memory view published without attributes answers exactly
+    like the attributed graph it mirrors.
 
     With a :class:`~repro.diffusion.DiffusionWorkspace` the whole query
     runs on preallocated buffers — a steady-state query in the local
@@ -115,8 +118,8 @@ def laca_scores(
     config.validate()
     if not 0 <= seed < graph.n:
         raise IndexError(f"seed {seed} out of range for n={graph.n}")
-    use_snas = config.use_snas and graph.attributes is not None
-    if use_snas and tnam is None:
+    use_snas = config.use_snas and tnam is not None
+    if config.use_snas and tnam is None and graph.attributes is not None:
         raise ValueError(
             "laca_scores needs the TNAM from build_tnam() when use_snas=True; "
             "use LACA (the pipeline class) to manage preprocessing"

@@ -8,7 +8,9 @@ out to ``workers`` OS processes instead:
 
 - the head snapshot's CSR arrays and TNAM factor are published **once**
   into :mod:`multiprocessing.shared_memory` segments
-  (:func:`~repro.graphs.shm.publish_snapshot`); each worker attaches a
+  (:func:`~repro.graphs.shm.publish_snapshot`; an epoch advance copies
+  only the arrays the delta changed and shares the rest with the
+  generation it replaces); each worker attaches a
   zero-copy :class:`~repro.graphs.graph.AttributedGraph` view, hydrates
   a :class:`~repro.core.pipeline.LACA` from the parent's fit state
   (:meth:`LACA.from_fit_state` — no refitting), and owns a private
@@ -50,7 +52,8 @@ Epoch advances reuse the in-process marker mechanism and add a barrier:
 ``reload`` message on every worker's task queue — FIFO order *is* the
 barrier: the reload rides behind every block gathered before the
 marker, so no worker ever answers a post-marker request on a pre-marker
-snapshot — and waits for all acks before unlinking the old segments.
+snapshot — and waits for all acks before releasing the old generation
+(which unlinks only the segments the new one does not share).
 A worker that dies mid-barrier no longer hangs it: the supervisor
 removes it from the pending-ack set.  A worker that fails to reload
 fails the service closed (it could otherwise silently serve stale
@@ -941,8 +944,13 @@ class PoolClusterService(ClusterService):
     def _propagate_refresh(self, head) -> None:
         model = self.model
         state = self._worker_fit_state(model)
+        # Segments whose bytes did not change (the TNAM factor on an
+        # edge-only delta, the ones segment while nnz fits) are shared
+        # with the serving generation instead of copied again.
         shared = publish_snapshot(
-            head, tnam_z=model.tnam.z if model.tnam is not None else None
+            head,
+            tnam_z=model.tnam.z if model.tnam is not None else None,
+            previous=self._shared,
         )
         previous = None
         try:
@@ -993,13 +1001,16 @@ class PoolClusterService(ClusterService):
             with self._pool_lock:
                 if previous is not None:
                     self._current_manifest, self._current_state = previous
-            shared.close()  # don't leak segments for a failed reload
+            # Unlinks only what this publish created; the segments it
+            # shares stay with the serving generation.
+            shared.close()
             raise
         old = self._shared
         self._shared = shared
         # Every live worker acked (and respawns attach the new
         # manifest): old mappings are closed, and unlinked segments
-        # stay valid for any mapping that still exists anyway.
+        # stay valid for any mapping that still exists anyway.  Segments
+        # the new generation shares survive this close.
         old.close()
 
     # ------------------------------------------------------------------

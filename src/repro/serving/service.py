@@ -90,11 +90,13 @@ def _fail_future(future: Future, exc: BaseException) -> None:
 
 
 def _unresolved(requests: list["_Request"]) -> list["_Request"]:
-    """The requests whose future carries no answer (pending or cancelled)."""
+    """The requests whose future carries no answer (pending, or cancelled
+    before the resolve path booked it)."""
     return [
         request
         for request in requests
-        if request.future.cancelled() or not request.future.done()
+        if not request.answered
+        and (request.future.cancelled() or not request.future.done())
     ]
 
 
@@ -126,6 +128,10 @@ class _Request:
     #: strict epoch check — a fresh submission is positioned correctly
     #: relative to update markers by construction.
     requeued: bool = False
+    #: True once the resolve path booked this request engine-served
+    #: (answered, or cancelled with its answer cached), so a crash later
+    #: in the same block never books it a second time as an error.
+    answered: bool = False
 
 
 @dataclass
@@ -818,8 +824,8 @@ class ClusterService:
             # every request the block left unanswered before re-raising
             # to the dispatch-loop guard — the gathered requests are no
             # longer in the queue, so the loop's drain could never reach
-            # them.  (A crash after ``record_batch`` returned leaves
-            # those requests booked as engine-served too.)
+            # them.  Requests the block already answered are booked
+            # engine-served and are not booked again here.
             error = RuntimeError(
                 "dispatcher crashed while resolving this block"
             )
@@ -908,8 +914,10 @@ class ClusterService:
 
         Books the block, caches (or freezes) each cluster with its
         footprint, stamps and records each span, and sets each future.
-        ``worker_id`` names the pool worker that computed the block
-        (``None`` in-process).
+        Each request is booked engine-served only once it is answered,
+        so a crash part-way leaves the rest to be booked as errors by
+        the caller (:func:`_unresolved`).  ``worker_id`` names the pool
+        worker that computed the block (``None`` in-process).
         """
         self.telemetry.record_batch(len(block), engine_seconds, worker_id=worker_id)
         now = time.perf_counter()
@@ -921,7 +929,9 @@ class ClusterService:
             # A caller may have cancelled while queued; resolving a
             # cancelled future raises and would kill the dispatcher.
             if not request.future.set_running_or_notify_cancel():
-                continue  # answer stays in the cache for the next asker
+                # The answer stays in the cache for the next asker.
+                self._book_answer(request)
+                continue
             span = request.span
             if span is not None:
                 span.worker_id = worker_id
@@ -933,4 +943,9 @@ class ClusterService:
                     self.trace_log.record_span(span)
             else:
                 self.telemetry.record_latency(now - request.enqueued_at)
+            self._book_answer(request)
             request.future.set_result(cluster)
+
+    def _book_answer(self, request: _Request) -> None:
+        request.answered = True
+        self.telemetry.record_answer()

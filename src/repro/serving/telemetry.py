@@ -188,16 +188,21 @@ class ServiceTelemetry:
         self, occupancy: int, engine_seconds: float, worker_id: int | None = None
     ) -> None:
         """One dispatched block: how many requests shared the traversal,
-        and (in a pool) which worker answered it."""
+        and (in a pool) which worker answered it.  Its requests are
+        booked engine-served one by one, by :meth:`record_answer`, as
+        each is actually resolved."""
         m = self.metrics
         m.batches.inc()
         m.occupancy.observe(occupancy)
         m.occupancy_max.set_max(occupancy)
         m.engine_seconds.inc(engine_seconds)
-        m.engine_requests.inc(occupancy)
         if worker_id is not None:
             m.worker_batches.labels(int(worker_id)).inc()
             m.worker_seeds.labels(int(worker_id)).inc(occupancy)
+
+    def record_answer(self, count: int = 1) -> None:
+        """``count`` requests resolved with an engine-computed answer."""
+        self.metrics.engine_requests.inc(count)
 
     def record_latency(self, seconds: float) -> None:
         """Submit→resolve latency of one engine-answered request."""

@@ -12,8 +12,43 @@ import numpy as np
 import pytest
 
 from repro.core.config import LacaConfig
+from repro.core.laca import laca_scores
 from repro.core.pipeline import LACA
-from repro.graphs.shm import attach_snapshot, publish_snapshot
+from repro.graphs import GraphDelta, GraphStore
+from repro.graphs.shm import _attach_segment, attach_snapshot, publish_snapshot
+
+
+def _names(snapshot) -> dict[str, str]:
+    """``{array key: segment name}``; an equal name is a reused segment."""
+    return {key: spec["segment"] for key, spec in snapshot.manifest["arrays"].items()}
+
+
+def _unlinked(name: str) -> bool:
+    try:
+        segment = _attach_segment(name)
+    except FileNotFoundError:
+        return True
+    segment.close()
+    return False
+
+
+def _assert_attaches_bitwise(manifest, graph, tnam_z) -> None:
+    attached = attach_snapshot(manifest)
+    try:
+        view = attached.graph
+        assert view.epoch == graph.epoch
+        for got, want in (
+            (view.adjacency.indptr, graph.adjacency.indptr),
+            (view.adjacency.indices, graph.adjacency.indices),
+            (view.adjacency.data, graph.adjacency.data),
+            (view.degrees, graph.degrees),
+            (view.inv_degrees, graph.inv_degrees),
+            (attached.tnam_z, tnam_z),
+        ):
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+    finally:
+        attached.close()
 
 
 @pytest.fixture()
@@ -31,10 +66,12 @@ class TestRoundTrip:
         _, _, snapshot = published
         manifest = pickle.loads(pickle.dumps(snapshot.manifest))
         assert manifest == snapshot.manifest
+        # Attributes are not published: Algo 4 reads only the TNAM
+        # factor, and the head keeps them for LACA.refresh.
         assert set(manifest["arrays"]) == {
-            "indptr", "indices", "data", "degrees", "inv_degrees",
-            "attributes", "tnam_z",
+            "indptr", "indices", "data", "degrees", "inv_degrees", "tnam_z",
         }
+        assert "attributes" not in manifest["arrays"]
 
     def test_attached_graph_is_bitwise_identical(self, published):
         graph, _, snapshot = published
@@ -51,7 +88,8 @@ class TestRoundTrip:
             )
             np.testing.assert_array_equal(view.degrees, graph.degrees)
             np.testing.assert_array_equal(view.inv_degrees, graph.inv_degrees)
-            np.testing.assert_array_equal(view.attributes, graph.attributes)
+            np.testing.assert_array_equal(view.adjacency.data, graph.adjacency.data)
+            assert graph.attributes is not None and view.attributes is None
         finally:
             attached.close()
 
@@ -66,6 +104,24 @@ class TestRoundTrip:
                 )
         finally:
             attached.close()
+
+    def test_snas_follows_the_tnam_not_the_attributes(self, published):
+        """The attached view carries no attributes, yet with the TNAM it
+        runs Step 2 (SNAS) exactly like the attributed graph; without a
+        TNAM an attributed graph still refuses to answer."""
+        graph, model, snapshot = published
+        attached = attach_snapshot(snapshot.manifest)
+        try:
+            config = model.config
+            on_view = laca_scores(attached.graph, 17, config=config, tnam=model.tnam)
+            on_head = laca_scores(graph, 17, config=config, tnam=model.tnam)
+            assert on_view.psi is not None
+            np.testing.assert_array_equal(on_view.psi, on_head.psi)
+            np.testing.assert_array_equal(on_view.scores, on_head.scores)
+        finally:
+            attached.close()
+        with pytest.raises(ValueError, match="TNAM"):
+            laca_scores(graph, 17, config=config)
 
     def test_non_attributed_graph_round_trips(self, plain_graph):
         snapshot = publish_snapshot(plain_graph)
@@ -201,3 +257,109 @@ class TestLifecycleAndSafety:
         assert len(created) == 1
         with pytest.raises(FileNotFoundError):
             real(name=created[0])
+
+
+class TestGenerations:
+    """Segment reuse across generations: publish B with ``previous=A``
+    shares what did not change, and each segment lives exactly as long
+    as some generation holding it."""
+
+    @staticmethod
+    def _advance(graph, delta):
+        model = LACA(LacaConfig(k=8)).fit(graph)
+        store = GraphStore(graph)
+        first = publish_snapshot(graph, tnam_z=model.tnam.z)
+        head = store.apply(delta)
+        model.refresh(store)
+        return model, head, first
+
+    def test_reuse_survives_closing_the_previous_generation(self, small_sbm):
+        adjacency = small_sbm.adjacency
+        neighbor = int(adjacency.indices[adjacency.indptr[0]])
+        model, head, first = self._advance(
+            small_sbm, GraphDelta(add_edges=[(0, 77)], remove_edges=[(0, neighbor)])
+        )
+        second = publish_snapshot(head, tnam_z=model.tnam.z, previous=first)
+        try:
+            before, after = _names(first), _names(second)
+            changed = {key for key in after if after[key] != before[key]}
+            assert changed == {"indptr", "indices", "degrees", "inv_degrees"}
+            first.close()
+            for key in changed:
+                assert _unlinked(before[key])
+            _assert_attaches_bitwise(second.manifest, head, model.tnam.z)
+        finally:
+            second.close()
+        assert all(_unlinked(name) for name in {*before.values(), *after.values()})
+
+    def test_failed_publish_with_previous_unlinks_only_its_own(
+        self, small_sbm, monkeypatch
+    ):
+        from multiprocessing import shared_memory
+
+        from repro.graphs import shm as shm_module
+
+        graph = small_sbm
+        model, head, first = self._advance(graph, GraphDelta(add_edges=[(0, 77)]))
+        real = shared_memory.SharedMemory
+        created: list[str] = []
+
+        def failing(*args, **kwargs):
+            if kwargs.get("create") and len(created) == 2:
+                raise OSError("no space left on device")
+            segment = real(*args, **kwargs)
+            if kwargs.get("create"):
+                created.append(segment.name)
+            return segment
+
+        monkeypatch.setattr(shm_module.shared_memory, "SharedMemory", failing)
+        try:
+            with pytest.raises(OSError, match="no space"):
+                publish_snapshot(head, tnam_z=model.tnam.z, previous=first)
+            monkeypatch.undo()
+            assert len(created) == 2  # died mid-export, after two copies
+            assert all(_unlinked(name) for name in created)
+            # Every segment the failed publish meant to reuse is intact.
+            _assert_attaches_bitwise(first.manifest, graph, model.tnam.z)
+        finally:
+            first.close()
+        # ... and its reference went back: closing A now unlinks them all.
+        assert all(_unlinked(name) for name in _names(first).values())
+
+    def test_double_close_across_generations_is_idempotent(self, small_sbm):
+        model, head, first = self._advance(small_sbm, GraphDelta(add_edges=[(0, 77)]))
+        second = publish_snapshot(head, tnam_z=model.tnam.z, previous=first)
+        shared = _names(second)["tnam_z"]
+        second.close()
+        second.close()  # must not drop the reference first still holds
+        assert not _unlinked(shared)
+        _assert_attaches_bitwise(first.manifest, small_sbm, model.tnam.z)
+        first.close()
+        first.close()
+        assert _unlinked(shared)
+
+    def test_ones_segment_serves_a_prefix_until_outgrown(self, small_sbm):
+        """``data`` is one all-ones segment attached as a length-nnz
+        prefix: a delta that fits its headroom reuses it, one whose nnz
+        outgrows it gets a fresh segment."""
+        model, head, first = self._advance(small_sbm, GraphDelta(add_edges=[(0, 77)]))
+        nnz = small_sbm.adjacency.nnz
+        dense = head.adjacency.toarray()
+        absent = [
+            (u, v)
+            for u in range(head.n)
+            for v in range(u + 1, head.n)
+            if dense[u, v] == 0
+        ][: nnz // 4]  # 2 × nnz/4 new entries: beyond nnz/4 of headroom
+        store = GraphStore(head)
+        grown = store.apply(GraphDelta(add_edges=absent))
+        second = publish_snapshot(head, tnam_z=model.tnam.z, previous=first)
+        third = publish_snapshot(grown, tnam_z=model.tnam.z, previous=second)
+        try:
+            assert _names(second)["data"] == _names(first)["data"]
+            assert _names(third)["data"] != _names(second)["data"]
+            assert third.manifest["arrays"]["data"]["shape"] == [grown.adjacency.nnz]
+            _assert_attaches_bitwise(third.manifest, grown, model.tnam.z)
+        finally:
+            for snapshot in (first, second, third):
+                snapshot.close()

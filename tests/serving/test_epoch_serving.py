@@ -17,7 +17,7 @@ import pytest
 from repro.core.config import LacaConfig
 from repro.core.pipeline import LACA
 from repro.graphs import AttributedGraph, GraphDelta, GraphStore
-from repro.serving import ClusterService
+from repro.serving import ClusterService, PoolClusterService
 
 
 def _fresh_answer(graph, config, seed, size):
@@ -269,3 +269,42 @@ class TestInterleavedUpdatesAndQueries:
                     thread.join()
         assert not mismatches, mismatches[:5]
         assert service.epoch == len(deltas)
+
+
+class TestPoolAttributeDelta:
+    def test_set_attributes_republishes_the_factor(self, rng, small_sbm):
+        """An attribute-only delta leaves the CSR segments shared and
+        republishes exactly ``tnam_z``; the workers then answer
+        bitwise-equal to ``LACA.cluster`` on the new factor."""
+        config = LacaConfig(k=16)
+        model = LACA(config).fit(small_sbm)
+        seeds = [0, 7, 33, 64, 99]
+        size = 20
+        old_answers = {seed: model.cluster(seed, size) for seed in seeds}
+        nodes = np.arange(0, small_sbm.n, 2)
+        rows = np.abs(rng.normal(size=(nodes.size, small_sbm.d))) + 0.05
+        with PoolClusterService(model, workers=2, cache_size=0) as service:
+            names = {
+                key: spec["segment"]
+                for key, spec in service._shared.manifest["arrays"].items()
+            }
+            old_z = service.model.tnam.z
+            service.apply_update(
+                GraphDelta(set_attributes=(nodes, rows)), timeout=60
+            )
+            assert service.model.tnam.z is not old_z
+            republished = {
+                key
+                for key, spec in service._shared.manifest["arrays"].items()
+                if spec["segment"] != names[key]
+            }
+            assert republished == {"tnam_z"}
+            answers = {seed: service.cluster(seed, size) for seed in seeds}
+        for seed in seeds:
+            np.testing.assert_array_equal(
+                answers[seed], service.model.cluster(seed, size)
+            )
+        # The rewrite moves some answer, so the old factor is detectable.
+        assert any(
+            not np.array_equal(answers[seed], old_answers[seed]) for seed in seeds
+        )

@@ -195,3 +195,42 @@ def test_pool_ledger_balances(small_sbm):
     assert stats["shed"] >= 1 and stats["deadline_misses"] >= 3
     assert stats["shed"] + stats["deadline_misses"] == 6
     assert stats["updates"] == 1 and stats["pending"] == 0
+
+
+@pytest.mark.parametrize("front_end", ["in_process", "pool"])
+def test_crash_after_record_batch_books_each_request_once(small_sbm, front_end):
+    """A block whose resolve loop dies after ``record_batch`` returned
+    (here: the cache insert of its second answer) books the answered
+    request engine-served and only the unanswered ones as errors — the
+    ledger gap stays 0 instead of counting the block twice."""
+    if front_end == "pool":
+        service = PoolClusterService(
+            _model(small_sbm), workers=1, max_batch=3, max_wait_s=0.5,
+            cache_size=64,
+        )
+        kind = "collector"
+    else:
+        service = ClusterService(
+            _model(small_sbm), max_batch=3, max_wait_s=0.5, cache_size=64
+        )
+        kind = "dispatcher"
+    put = service.cache.put
+    calls = {"n": 0}
+
+    def crashing_put(*args, **kwargs):
+        calls["n"] += 1
+        if calls["n"] == 2:
+            raise ZeroDivisionError("cache exploded")
+        return put(*args, **kwargs)
+
+    service.cache.put = crashing_put
+    try:
+        futures = [service.submit(seed, 10) for seed in (0, 1, 2)]
+        _settle(futures)
+        stats = _assert_ledger(service, submitted=len(futures))
+    finally:
+        service.close(timeout=60)
+    assert calls["n"] >= 2  # the crash really happened after record_batch
+    assert stats["engine_served"] >= 1
+    assert set(stats["errors_by_kind"]) == {kind}
+    assert stats["engine_served"] + stats["errors"] == len(futures)

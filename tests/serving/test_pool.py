@@ -7,6 +7,8 @@ The governing contract is inherited from ClusterService: answers are
 bitwise identical to ``LACA.cluster``, and no future ever hangs.
 """
 
+import glob
+import os
 import threading
 import time
 
@@ -378,3 +380,85 @@ class TestPoolLifecycle:
         assert "tnam_z" not in state
         assert "tnam_y" not in state and "tnam_basis" not in state
         assert "tnam_metric" in state  # identity scalars still travel
+
+
+def _segment_names(service) -> dict[str, str]:
+    """``{array key: segment name}`` of the generation the pool serves."""
+    return {
+        key: spec["segment"]
+        for key, spec in service._shared.manifest["arrays"].items()
+    }
+
+
+def _live_segments() -> set[str]:
+    return set(glob.glob("/dev/shm/psm_*"))
+
+
+class TestSegmentReuse:
+    """An epoch advance republishes only the segments its delta changed;
+    machine-independent (segment names and bitwise answers, no clocks)."""
+
+    def test_edge_only_delta_republishes_only_the_csr_arrays(self, small_sbm):
+        model = _model(small_sbm)
+        with PoolClusterService(model, workers=2, cache_size=0) as service:
+            before = _segment_names(service)
+            service.apply_update(
+                GraphDelta(add_edges=[(0, 60), (7, 90)]), timeout=60
+            )
+            after = _segment_names(service)
+            changed = {key for key in after if after[key] != before[key]}
+            assert changed == {"indptr", "indices", "degrees", "inv_degrees"}
+            assert after["tnam_z"] == before["tnam_z"]
+            assert after["data"] == before["data"]
+            for seed in (0, 7, 60):
+                np.testing.assert_array_equal(
+                    service.cluster(seed, 20), service.model.cluster(seed, 20)
+                )
+
+    def test_node_append_outgrowing_headroom_recreates_data(self, rng, small_sbm):
+        """Appending nodes whose edges add more than nnz/4 entries
+        outgrows the ones segment's headroom: ``data`` is re-created and
+        the new nodes are answered on the grown graph."""
+        model = _model(small_sbm)
+        n, nnz = small_sbm.n, small_sbm.adjacency.nnz
+        added = 8
+        edges = [
+            (n + i, int(v))
+            for i in range(added)
+            for v in rng.choice(n, size=nnz // (2 * added) + 1, replace=False)
+        ]
+        assert 2 * len(edges) > nnz // 4
+        delta = GraphDelta(
+            add_nodes=added,
+            add_edges=edges,
+            add_attributes=np.abs(rng.normal(size=(added, small_sbm.d))) + 0.05,
+            add_communities=[0] * added,
+        )
+        with PoolClusterService(model, workers=2, cache_size=0) as service:
+            before = _segment_names(service)
+            service.apply_update(delta, timeout=60)
+            after = _segment_names(service)
+            assert after["data"] != before["data"]
+            assert after["tnam_z"] != before["tnam_z"]  # rows were appended
+            for seed in (0, n, n + added - 1):
+                np.testing.assert_array_equal(
+                    service.cluster(seed, 20), service.model.cluster(seed, 20)
+                )
+
+    @pytest.mark.skipif(
+        not os.path.isdir("/dev/shm"), reason="segments are listed in /dev/shm"
+    )
+    def test_failed_reload_leaves_no_segment_after_close(self, small_sbm):
+        before = _live_segments()
+        plan = FaultPlan([FaultRule(site="worker.reload", match={"worker_id": 0})])
+        service = PoolClusterService(
+            _model(small_sbm), workers=2, fault_plan=plan, restart_budget=0,
+            max_wait_s=0.0, cache_size=0,
+        )
+        try:
+            assert _live_segments() - before  # the pool did publish
+            with pytest.raises(RuntimeError, match="reload failed"):
+                service.apply_update(GraphDelta(add_edges=[(0, 70)]), timeout=60)
+        finally:
+            service.close(timeout=60)
+        assert not _live_segments() - before

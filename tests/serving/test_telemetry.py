@@ -20,7 +20,9 @@ class TestServiceTelemetry:
     def test_occupancy_and_throughput(self):
         telemetry = ServiceTelemetry()
         telemetry.record_batch(4, engine_seconds=0.1)
+        telemetry.record_answer(4)
         telemetry.record_batch(2, engine_seconds=0.1)
+        telemetry.record_answer(2)
         stats = telemetry.snapshot()
         assert stats["batches"] == 2
         assert stats["engine_served"] == 6
@@ -59,6 +61,7 @@ class TestServiceTelemetry:
         telemetry.record_cache_hit()
         telemetry.record_cache_hit()
         telemetry.record_batch(1, engine_seconds=0.01)
+        telemetry.record_answer()
         telemetry.record_error()
         stats = telemetry.snapshot()
         assert stats["cache_served"] == 2
